@@ -8,7 +8,6 @@ or parse error.  No environment variables are consulted.
 
 import argparse
 import json
-import os
 import sys
 
 from . import catalog as catalog_mod
@@ -17,7 +16,7 @@ from .cayley import search_cayley_a4
 from .core import SearchParams, moore_bound, verify
 from .catalog import DigraphFormatError, read_digraph, write_digraph
 from .lemmas import classify_pair, common_out_pairs, triangle_census
-from .search import SPLIT_SLOTS, run_task, search, split_tasks
+from .search import Checkpoint, search
 
 LONG_RUN_ORDER = 17
 
@@ -138,106 +137,14 @@ def _cmd_census(args, out, err) -> int:
     return 0
 
 
-def _checkpoint_key(params: SearchParams, split_slots: int) -> dict:
-    return {
-        "d": params.d,
-        "k": params.k,
-        "excess": params.epsilon,
-        "diregular": params.diregular,
-        "split_slots": split_slots,
-    }
-
-
-def _write_checkpoint(path: str, payload: dict) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def _search_with_checkpoint(params: SearchParams, args, err):
-    """Task-by-task search that records finished subtrees in a JSON file.
-
-    Only fully explored tasks are persisted, so a budget-limited or
-    interrupted run can be resumed later; a task cut short by the budget is
-    re-run from scratch on resume.  Once every task is recorded, the merged
-    totals match what a direct search() run would report.  The node budget,
-    when given, caps new exploration per invocation (the small split phase
-    always runs in full so the task list is identical across invocations).
-    """
-    from .canon import CanonicalForm
-    from .search import SearchOutcome, SearchResult
-
-    key = _checkpoint_key(params, SPLIT_SLOTS)
-    done: dict[str, dict] = {}
-    if os.path.exists(args.checkpoint):
-        with open(args.checkpoint, "r", encoding="utf-8") as fh:
-            saved = json.load(fh)
-        if saved.get("key") != key:
-            raise _UsageError("checkpoint does not match these search parameters")
-        done = saved.get("done", {})
-        print(f"resuming: {len(done)} tasks already finished", file=err)
-    tasks, stats = split_tasks(params, "full", SPLIT_SLOTS, None)
-    merged = {data.hex(): write_digraph(g) for data, g in stats["results"].items()}
-    nodes = stats["nodes"]
-    spent = nodes
-    total = len(tasks)
-    for idx in range(total):
-        record = done.get(str(idx))
-        if record is not None:
-            nodes += record["nodes"]
-            for hex_form, text in record["results"].items():
-                merged.setdefault(hex_form, text)
-    pending = [idx for idx in range(total) if str(idx) not in done]
-    stopped = False
-    for idx in pending:
-        quota = None
-        if params.max_nodes is not None:
-            quota = max(0, params.max_nodes - spent)
-            if quota == 0:
-                stopped = True
-                print(f"progress tasks={len(done)}/{total} budget exhausted", file=err)
-                break
-        results, task_nodes, task_stopped = run_task(params, tasks[idx], "full", quota)
-        spent += task_nodes
-        if task_stopped:
-            stopped = True
-            print(f"progress tasks={len(done)}/{total} budget exhausted", file=err)
-            break
-        done[str(idx)] = {
-            "nodes": task_nodes,
-            "results": {data.hex(): write_digraph(g) for data, g in results.items()},
-        }
-        _write_checkpoint(args.checkpoint, {"key": key, "done": done})
-        nodes += task_nodes
-        for hex_form, text in done[str(idx)]["results"].items():
-            merged.setdefault(hex_form, text)
-        print(f"progress tasks={len(done)}/{total} nodes={nodes}", file=err)
-    # write even when no task ran, so replays and mismatch detection work
-    _write_checkpoint(args.checkpoint, {"key": key, "done": done})
-    complete = not stopped and len(done) == total
-    ordered = sorted(merged.items())
-    if params.max_results is not None and len(ordered) > params.max_results:
-        ordered = ordered[: params.max_results]
-        complete = False
-    results = tuple(
-        SearchResult(form=CanonicalForm(bytes.fromhex(h)), digraph=read_digraph(text))
-        for h, text in ordered
-    )
-    return SearchOutcome(results=results, nodes_explored=nodes, complete=complete)
-
-
 def _cmd_search(args, out, err) -> int:
     params = _params_from(args)
     if params.order >= LONG_RUN_ORDER and not args.long_run:
         raise _UsageError(
             f"order {params.order} search may run for hours; pass --long-run to confirm"
         )
-    if args.checkpoint:
-        outcome = _search_with_checkpoint(params, args, err)
-    else:
-        outcome = search(params, jobs=args.jobs)
+    checkpoint = Checkpoint(args.checkpoint, err) if args.checkpoint else None
+    outcome = search(params, jobs=args.jobs, checkpoint=checkpoint)
     blocks = [write_digraph(r.digraph) for r in outcome.results]
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
@@ -309,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--excess", type=int, required=True)
     p.add_argument("--diregular", action="store_true")
     p.add_argument("--limit", type=int, help="stop after this many results")
-    p.add_argument("--budget", type=int, help="node budget; exceeding it marks the run incomplete")
+    p.add_argument("--budget", type=int, help="node budget, counted in task order; a run it stops is incomplete")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--long-run", action="store_true",
                    help=f"required for searches of order {LONG_RUN_ORDER} and above")

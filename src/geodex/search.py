@@ -21,13 +21,21 @@ on partials no valid completion can extend.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import json
 import multiprocessing
+import os
+import sys
 from dataclasses import dataclass
+from typing import TextIO
 
 from .canon import CanonicalForm, canonical_form
+from .catalog import read_digraph, write_digraph
 from .core import Digraph, SearchParams, moore_bound, verify
 
 SPLIT_SLOTS = 4
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -40,7 +48,6 @@ class PartialDigraph:
 
     n: int
     out: tuple[tuple[int, ...], ...]
-    in_deg: tuple[int, ...]
     frontier: tuple[int, int] | None
 
 
@@ -73,38 +80,26 @@ def seed_tree(params: SearchParams) -> PartialDigraph:
     d, k = params.d, params.k
     n = params.order
     internal = moore_bound(d, k - 1)
-    out: list[tuple[int, ...]] = []
-    in_deg = [0] * n
-    for v in range(n):
-        if v < internal:
-            targets = tuple(range(d * v + 1, d * v + d + 1))
-            for w in targets:
-                in_deg[w] += 1
-        else:
-            targets = ()
-        out.append(targets)
-    return PartialDigraph(n=n, out=tuple(out), in_deg=tuple(in_deg), frontier=(internal, 0))
+    out = tuple(tuple(range(d * v + 1, d * v + d + 1)) if v < internal else ()
+                for v in range(n))
+    return PartialDigraph(n=n, out=out, frontier=(internal, 0))
 
 
 def partial_from_out_lists(n: int, out: list[tuple[int, ...]], d: int) -> PartialDigraph:
-    """Build a PartialDigraph snapshot, deriving in-degrees and the frontier."""
-    in_deg = [0] * n
-    for targets in out:
-        for w in targets:
-            in_deg[w] += 1
+    """Build a PartialDigraph snapshot, deriving the frontier."""
     frontier = None
     for v in range(n):
         if len(out[v]) < d:
             frontier = (v, len(out[v]))
             break
-    return PartialDigraph(n=n, out=tuple(tuple(t) for t in out), in_deg=tuple(in_deg), frontier=frontier)
+    return PartialDigraph(n=n, out=tuple(tuple(t) for t in out), frontier=frontier)
 
 
 class _Engine:
     """Depth-first generator over one subtree, with undo."""
 
     def __init__(self, params: SearchParams, pruning: str, start: PartialDigraph,
-                 budget: int | None, max_results: int | None):
+                 budget: int | None):
         if pruning not in ("full", "basic"):
             raise ValueError(f"unknown pruning mode {pruning!r}")
         self.params = params
@@ -116,7 +111,6 @@ class _Engine:
         self.mult_mode = full and params.diregular
         self.twin_mode = full and params.diregular and params.d == 2 and params.epsilon == 2 and params.k >= 2
         self.budget = budget
-        self.max_results = max_results
         n = self.n
         if start.n != n:
             raise ValueError(f"partial has order {start.n}, params require {n}")
@@ -297,17 +291,12 @@ class _Engine:
         report = verify(g, self.params)
         if not report.ok:
             raise RuntimeError("internal error: generated digraph fails verification")
-        data = canonical_form(g).data
-        if data not in self.results:
-            self.results[data] = g
-            if self.max_results is not None and len(self.results) >= self.max_results:
-                self.stopped = True
+        self.results.setdefault(canonical_form(g).data, g)
 
     def _snapshot(self, v: int) -> PartialDigraph:
         return PartialDigraph(
             n=self.n,
             out=tuple(tuple(t) for t in self.out),
-            in_deg=tuple(self.in_deg),
             frontier=(v, len(self.out[v])),
         )
 
@@ -367,7 +356,7 @@ def prune(partial: PartialDigraph, params: SearchParams, pruning: str = "full") 
     consequence violations in the degree-2 excess-2 diregular mode.  A cut
     partial has no completion that verifies.
     """
-    engine = _Engine(params, pruning, partial, budget=None, max_results=None)
+    engine = _Engine(params, pruning, partial, budget=None)
     return not engine.check_state()
 
 
@@ -377,10 +366,10 @@ def split_tasks(params: SearchParams, pruning: str = "full",
     """First stage of a search: expand the seed by split_slots arc decisions.
 
     Returns the surviving partials as independent tasks plus a stats dict
-    with nodes, results found below the split depth, and a stopped flag.
+    with nodes, results found below the split depth, and a stopped flag
+    that is set when the node budget ran out.
     """
-    engine = _Engine(params, pruning, seed_tree(params), budget=budget,
-                     max_results=params.max_results)
+    engine = _Engine(params, pruning, seed_tree(params), budget=budget)
     engine.run(split_at=split_slots)
     stats = {
         "nodes": engine.nodes,
@@ -392,8 +381,11 @@ def split_tasks(params: SearchParams, pruning: str = "full",
 
 def run_task(params: SearchParams, task: PartialDigraph, pruning: str = "full",
              budget: int | None = None) -> tuple[dict[bytes, Digraph], int, bool]:
-    """Exhaust one search subtree; returns (results, nodes, stopped)."""
-    engine = _Engine(params, pruning, task, budget=budget, max_results=params.max_results)
+    """Exhaust one search subtree; returns (results, nodes, stopped).
+
+    stopped is set when the node budget ran out before the subtree did.
+    """
+    engine = _Engine(params, pruning, task, budget=budget)
     engine.run()
     return dict(engine.results), engine.nodes, engine.stopped
 
@@ -404,44 +396,141 @@ def _worker(payload) -> tuple[list[tuple[bytes, Digraph]], int, bool]:
     return sorted(results.items()), nodes, stopped
 
 
-def task_quotas(budget: int | None, used: int, count: int) -> list[int | None]:
-    """Split the remaining node budget evenly over count tasks."""
-    if budget is None:
-        return [None] * count
-    remaining = max(0, budget - used)
-    base, extra = divmod(remaining, count) if count else (0, 0)
-    return [base + (1 if i < extra else 0) for i in range(count)]
+class Checkpoint:
+    """A JSON file of the tasks a search finished, so that it can resume.
+
+    Its key holds the format version, the search, the split depth and a
+    sha256 of the split task list, so a file from another search or from
+    an engine that splits differently is refused.  Each record holds a
+    task's node count and its results as hex canonical form -> digraph
+    text.  Resuming and progress lines go to log.
+    """
+
+    def __init__(self, path: str, log: TextIO | None = None):
+        self.path = path
+        self.log = log or sys.stderr
+        self.done: dict[str, dict] = {}
+
+    def _bad(self, why: str) -> ValueError:
+        return ValueError(f"checkpoint {self.path}: {why}")
+
+    def restore(self, params: SearchParams, pruning: str, split_slots: int,
+                tasks: list[PartialDigraph]) -> dict[int, tuple[list, int]]:
+        """Read and check the whole file; returns (results, nodes) by task index.
+
+        Call it before save and flush.  A missing file is a fresh start.  A
+        fault raises ValueError and leaves the file as it was.
+        """
+        shape = json.dumps([task.out for task in tasks]).encode()
+        self.total = len(tasks)
+        self.key = {"version": CHECKPOINT_VERSION, "d": params.d, "k": params.k,
+                    "excess": params.epsilon, "diregular": params.diregular,
+                    "pruning": pruning, "split_slots": split_slots,
+                    "tasks": hashlib.sha256(shape).hexdigest()}
+        try:
+            with open(self.path, "r", encoding="utf-8") as fh:
+                saved = json.load(fh)
+        except FileNotFoundError:
+            return {}
+        except (OSError, ValueError) as exc:
+            raise self._bad(f"cannot read it: {exc}") from None
+        if not (isinstance(saved, dict) and set(saved) == {"key", "done"}
+                and isinstance(saved["done"], dict)):
+            raise self._bad("not a checkpoint file")
+        if saved["key"] != self.key:
+            raise self._bad("written by another format version, search or task list")
+        restored = {}
+        for name, record in saved["done"].items():
+            if not (name.isdecimal() and name == str(int(name)) and int(name) < self.total):
+                raise self._bad(f"task index {name!r} is not in 0..{self.total - 1}")
+            if not (isinstance(record, dict) and set(record) == {"nodes", "results"}
+                    and type(record["nodes"]) is int and record["nodes"] >= 0
+                    and isinstance(record["results"], dict)
+                    and all(isinstance(text, str) for text in record["results"].values())):
+                raise self._bad(f"task {name}: malformed record")
+            try:
+                items = [(bytes.fromhex(form), read_digraph(text))
+                         for form, text in record["results"].items()]
+            except ValueError as exc:
+                raise self._bad(f"task {name}: {exc}") from None
+            restored[int(name)] = items, record["nodes"]
+        self.done = saved["done"]
+        print(f"resuming: {len(self.done)} tasks already finished", file=self.log)
+        return restored
+
+    def save(self, index: int, items: list[tuple[bytes, Digraph]], nodes: int,
+             explored: int) -> None:
+        """Record a finished task and rewrite the file."""
+        results = {form.hex(): write_digraph(g) for form, g in items}
+        self.done[str(index)] = {"nodes": nodes, "results": results}
+        self.flush()
+        print(f"progress tasks={len(self.done)}/{self.total} nodes={explored}", file=self.log)
+
+    def flush(self, exhausted: bool = False) -> None:
+        """Rewrite the file; search() flushes even if no task ran, so a rerun replays."""
+        if exhausted:
+            print(f"progress tasks={len(self.done)}/{self.total} budget exhausted", file=self.log)
+        tmp = self.path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"key": self.key, "done": self.done}, fh)
+            fh.write("\n")
+        os.replace(tmp, self.path)
 
 
 def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
-           split_slots: int = SPLIT_SLOTS) -> SearchOutcome:
+           split_slots: int = SPLIT_SLOTS, checkpoint: Checkpoint | None = None) -> SearchOutcome:
     """Exhaustive isomorph-free search for digraphs matching params.
 
     Every vertex gets out-degree exactly d; the diregular flag adds the
-    in-degree d requirement.  Results are deduplicated and sorted by
-    canonical form, so the outcome is identical for any worker count.
+    in-degree d requirement.  The split always runs in full; its tasks run
+    in jobs processes and are taken in index order.  params.max_nodes
+    counts the split, then each task: a task is accepted only if it
+    finished within the budget still left, and the first that did not is
+    discarded and ends the run, as does reaching params.max_results
+    classes.  A checkpoint restores finished tasks, which cost no budget,
+    and saves each accepted task as it lands.  So the outcome is identical
+    for any jobs, with or without a checkpoint.
     """
     if jobs < 1:
         raise ValueError(f"worker count must be at least 1, got {jobs}")
-    tasks, stats = split_tasks(params, pruning, split_slots, params.max_nodes)
+    tasks, stats = split_tasks(params, pruning, split_slots)
+    restored = checkpoint.restore(params, pruning, split_slots, tasks) if checkpoint else {}
+    pending = [i for i in range(len(tasks)) if i not in restored]
     merged: dict[bytes, Digraph] = dict(stats["results"])
     nodes = stats["nodes"]
-    stopped = stats["stopped"]
-    quotas = task_quotas(params.max_nodes, nodes, len(tasks))
-    payloads = [(params, pruning, task, quota) for task, quota in zip(tasks, quotas)]
-    if stopped:
-        payloads = []
-    if jobs > 1 and len(payloads) > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            outcomes = pool.map(_worker, payloads, chunksize=1)
-    else:
-        outcomes = [_worker(p) for p in payloads]
-    for result_items, task_nodes, task_stopped in outcomes:
-        nodes += task_nodes
-        stopped = stopped or task_stopped
-        for data, g in result_items:
-            merged.setdefault(data, g)
-    complete = not stopped
+    left = None if params.max_nodes is None else params.max_nodes - nodes
+    complete = exhausted = False
+
+    def payload(i: int):
+        return params, pruning, tasks[i], None if left is None else max(0, left)
+
+    use_pool = jobs > 1 and len(pending) > 1
+    with multiprocessing.Pool(processes=jobs) if use_pool else contextlib.nullcontext() as pool:
+        # A pool task gets the budget left after the split, a serial one the
+        # budget left when it starts; the acceptance check makes them agree.
+        outcomes = (pool.imap(_worker, [payload(i) for i in pending]) if use_pool
+                    else (_worker(payload(i)) for i in pending))
+        for idx in range(len(tasks)):
+            if params.max_results is not None and len(merged) >= params.max_results:
+                break
+            if idx in restored:
+                items, task_nodes = restored[idx]
+            else:
+                items, task_nodes, task_stopped = next(outcomes)
+                if left is not None:
+                    if task_stopped or task_nodes > left:
+                        exhausted = True
+                        break
+                    left -= task_nodes
+                if checkpoint:
+                    checkpoint.save(idx, items, task_nodes, nodes + task_nodes)
+            nodes += task_nodes
+            for data, g in items:
+                merged.setdefault(data, g)
+        else:
+            complete = True
+    if checkpoint:
+        checkpoint.flush(exhausted)
     ordered = sorted(merged.items())
     if params.max_results is not None and len(ordered) > params.max_results:
         ordered = ordered[: params.max_results]

@@ -257,6 +257,90 @@ class TestSearchCheckpoint:
         assert "checkpoint" in err
 
 
+SEARCH_222 = ["search", "--d", "2", "--k", "2", "--excess", "2", "--diregular"]
+
+
+def _slices(cp, *extra):
+    """Rerun a 1500-node checkpointed search until it completes; returns the stdouts."""
+    outs = []
+    while not outs or "complete=false" in outs[-1]:
+        code, out, _ = invoke(*SEARCH_222, "--budget", "1500", "--checkpoint", str(cp), *extra)
+        assert code in (0, 1) and len(outs) < 10
+        outs.append(out)
+    return outs
+
+
+def _edited(change):
+    """A damage that parses the checkpoint, applies change to it and writes it back."""
+    def damage(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return damage
+
+
+class TestCheckpointBudgetAndJobs:
+    @pytest.mark.parametrize("option,summary", [
+        (["--budget", "3724"], "results=2 nodes=3724 complete=true"),
+        (["--limit", "1"], "results=1 nodes=223 complete=false"),
+    ])
+    def test_same_output_with_and_without_checkpoint(self, tmp_path, option, summary):
+        plain = invoke(*SEARCH_222, *option)
+        saved = invoke(*SEARCH_222, *option, "--checkpoint", str(tmp_path / "cp.json"))
+        assert plain[:2] == saved[:2]
+        assert plain[1].endswith(summary + "\n")
+
+    def test_jobs_with_checkpoint_match_serial_slices(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        pools = []
+        real_pool = multiprocessing.Pool
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs.get("processes"))
+            return real_pool(*args, **kwargs)
+
+        serial = _slices(tmp_path / "serial.json")
+        monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+        parallel = _slices(tmp_path / "parallel.json", "--jobs", "2")
+        assert len(serial) > 1
+        assert parallel == serial
+        assert pools and set(pools) == {2}
+        assert (tmp_path / "parallel.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+
+    @pytest.mark.parametrize("field,value", [("tasks", "0" * 64), ("version", 1)])
+    def test_stale_key_refused(self, tmp_path, field, value):
+        cp = tmp_path / "cp.json"
+        assert invoke(*SEARCH_222, "--checkpoint", str(cp))[0] == 0
+        doc = json.loads(cp.read_text())
+        doc["key"][field] = value
+        cp.write_text(json.dumps(doc))
+        code, out, err = invoke(*SEARCH_222, "--checkpoint", str(cp))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: checkpoint {cp}: ")
+        assert json.loads(cp.read_text()) == doc
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("damage", [
+        lambda text: json.dumps([json.loads(text)]),
+        lambda text: text[: len(text) // 2],
+        _edited(lambda doc: doc["done"]["0"].pop("nodes")),
+        _edited(lambda doc: doc["done"].update({"30": {"nodes": 0, "results": {}}})),
+        _edited(lambda doc: doc["done"]["0"].update(results={"not-hex": "n 9\n"})),
+    ], ids=["json-list", "truncated", "record-without-nodes", "index-out-of-range",
+            "non-hex-form"])
+    def test_exits_2_before_any_task_runs(self, tmp_path, damage):
+        cp = tmp_path / "cp.json"
+        assert invoke(*SEARCH_222, "--budget", "1500", "--checkpoint", str(cp))[0] == 1
+        text = damage(cp.read_text())
+        cp.write_text(text)
+        code, out, err = invoke(*SEARCH_222, "--checkpoint", str(cp))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: checkpoint {cp}: ") and err.count("\n") == 1
+        assert cp.read_text() == text
+
+
 class TestCayleyA4:
     def test_witnesses(self):
         code, out, _ = invoke("cayley-a4", "--k", "2", "--excess", "5")

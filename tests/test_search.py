@@ -38,10 +38,6 @@ class TestSeedTree:
         assert s.out[6] == (13, 14)
         assert s.out[7:] == ((),) * 10
 
-    def test_in_degrees_consistent(self):
-        s = seed_tree(P222)
-        assert s.in_deg == (0, 1, 1, 1, 1, 1, 1, 0, 0)
-
 
 class TestPrune:
     def test_keeps_seed(self):
@@ -164,6 +160,29 @@ class TestBudgets:
     def test_max_results_truncates_and_marks_incomplete(self):
         out = search(SearchParams(d=2, k=2, epsilon=2, diregular=True, max_results=1))
         assert len(out.results) == 1
+        assert not out.complete
+
+    def test_budget_of_the_whole_tree_completes(self):
+        out = search(SearchParams(2, 2, 2, True, max_nodes=3724))
+        assert out.complete
+        assert out.nodes_explored == 3724
+        assert len(out.results) == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_budget_takes_whole_tasks_in_order(self, jobs):
+        # reference: the split, then each task's unbudgeted size while it fits
+        budget = 1500
+        tasks, stats = split_tasks(P222)
+        nodes = stats["nodes"]
+        for task in tasks:
+            size = run_task(P222, task)[1]
+            if nodes + size > budget:
+                break
+            nodes += size
+        serial = search(SearchParams(2, 2, 2, True, max_nodes=budget))
+        out = search(SearchParams(2, 2, 2, True, max_nodes=budget), jobs=jobs)
+        assert out == serial
+        assert out.nodes_explored == nodes
         assert not out.complete
 
     def test_generous_budget_still_complete(self):
