@@ -12,6 +12,11 @@ from typing import TextIO
 
 from .core import Digraph
 
+# Largest order a digraph file may declare.  It covers the (2,k,+2) orders
+# 2**(k+1) + 1 up to k = 10, far past anything the search reaches, while a
+# header alone can no longer make the reader allocate without bound.
+MAX_ORDER = 4096
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -80,9 +85,10 @@ def read_digraph(source: str | TextIO) -> Digraph:
     """Parse the text format produced by write_digraph.
 
     Lines whose first non-blank character is '#' are ignored, as are blank
-    lines.  A vertex may appear at most once; vertices without a line get
-    an empty out-list.  Parse errors report the 1-based line number;
-    semantic errors name the vertex.
+    lines.  The header may declare an order of at most MAX_ORDER.  A vertex
+    may appear at most once; vertices without a line get an empty out-list.
+    Parse errors report the 1-based line number; semantic errors name the
+    vertex.
     """
     text = source if isinstance(source, str) else source.read()
     n: int | None = None
@@ -101,6 +107,8 @@ def read_digraph(source: str | TextIO) -> Digraph:
                 raise DigraphFormatError(f"line {lineno}: order is not an integer: {parts[1]!r}") from None
             if n < 0:
                 raise DigraphFormatError(f"line {lineno}: order must be non-negative, got {n}")
+            if n > MAX_ORDER:
+                raise DigraphFormatError(f"line {lineno}: order {n} exceeds the limit of {MAX_ORDER}")
             continue
         head, sep, tail = line.partition(":")
         if not sep:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .reach import geodetic_ball, reach
+
 
 def moore_bound(d: int, k: int) -> int:
     """Sum of d**i for i in 0..k, the Moore bound for out-degree d and depth k.
@@ -88,16 +90,12 @@ def _check_vertex(g: Digraph, u: int) -> None:
         raise ValueError(f"vertex {u} out of range 0..{g.n - 1}")
 
 
-def out_neighbourhood(g: Digraph, u: int) -> tuple[int, ...]:
-    """Targets of the arcs leaving u, sorted."""
-    _check_vertex(g, u)
-    return g.out[u]
+def _masks(lists: tuple[tuple[int, ...], ...]) -> list[int]:
+    return [sum(1 << w for w in row) for row in lists]
 
 
-def in_neighbourhood(g: Digraph, u: int) -> tuple[int, ...]:
-    """Sources of the arcs entering u, sorted."""
-    _check_vertex(g, u)
-    return g.in_lists[u]
+def _members(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(v for v in range(n) if mask >> v & 1)
 
 
 def distance_layer(g: Digraph, u: int, l: int) -> tuple[int, ...]:
@@ -109,15 +107,9 @@ def distance_layer(g: Digraph, u: int, l: int) -> tuple[int, ...]:
     _check_vertex(g, u)
     if l < 0:
         raise ValueError(f"layer depth must be non-negative, got {l}")
-    seen = {u}
-    layer = [u]
-    for _ in range(l):
-        nxt = {w for x in layer for w in g.out[x] if w not in seen}
-        seen |= nxt
-        layer = sorted(nxt)
-        if not layer:
-            break
-    return tuple(sorted(layer))
+    masks = _masks(g.out)
+    inner = reach(masks, u, l - 1) if l else 0
+    return _members(reach(masks, u, l) & ~inner, g.n)
 
 
 def ball(g: Digraph, u: int, l: int) -> tuple[int, ...]:
@@ -125,15 +117,7 @@ def ball(g: Digraph, u: int, l: int) -> tuple[int, ...]:
     _check_vertex(g, u)
     if l < 0:
         raise ValueError(f"radius must be non-negative, got {l}")
-    seen = {u}
-    layer = [u]
-    for _ in range(l):
-        nxt = {w for x in layer for w in g.out[x] if w not in seen}
-        if not nxt:
-            break
-        seen |= nxt
-        layer = nxt
-    return tuple(sorted(seen))
+    return _members(reach(_masks(g.out), u, l), g.n)
 
 
 @dataclass(frozen=True)
@@ -148,23 +132,6 @@ class GeodeticViolation:
     target: int
     walk_a: tuple[int, ...]
     walk_b: tuple[int, ...]
-
-
-def _walk_totals(g: Digraph, u: int, k: int) -> list[int]:
-    # totals[v] = number of walks of length 1..k from u to v, with multiplicity
-    totals = [0] * g.n
-    cur = [0] * g.n
-    cur[u] = 1
-    for _ in range(k):
-        nxt = [0] * g.n
-        for x, c in enumerate(cur):
-            if c:
-                for w in g.out[x]:
-                    nxt[w] += c
-        for v, c in enumerate(nxt):
-            totals[v] += c
-        cur = nxt
-    return totals
 
 
 def _first_two_walks(g: Digraph, u: int, v: int, k: int) -> list[tuple[int, ...]]:
@@ -201,13 +168,13 @@ def find_geodetic_violation(g: Digraph, k: int) -> GeodeticViolation | None:
     """
     if k < 1:
         raise ValueError(f"geodecity parameter must be at least 1, got {k}")
+    masks = _masks(g.out)
     for u in range(g.n):
-        totals = _walk_totals(g, u, k)
-        for v in range(g.n):
-            bad = totals[v] >= 1 if v == u else totals[v] >= 2
-            if bad:
-                walk_a, walk_b = _first_two_walks(g, u, v, k)
-                return GeodeticViolation(u, v, walk_a, walk_b)
+        if not geodetic_ball(masks, u, k):
+            for v in range(g.n):
+                walks = _first_two_walks(g, u, v, k)
+                if len(walks) == 2:
+                    return GeodeticViolation(u, v, *walks)
     return None
 
 
@@ -224,8 +191,17 @@ def outlier_set(g: Digraph, u: int, k: int) -> tuple[int, ...]:
     """Vertices at distance at least k+1 from u (unreachable ones included)."""
     if k < 0:
         raise ValueError(f"depth must be non-negative, got {k}")
-    inside = set(ball(g, u, k))
-    return tuple(v for v in range(g.n) if v not in inside)
+    _check_vertex(g, u)
+    return _members(~reach(_masks(g.out), u, k), g.n)
+
+
+def outlier_multiplicity(g: Digraph, k: int) -> tuple[int, ...]:
+    """For each vertex, the number of vertices whose outlier set contains it."""
+    if k < 0:
+        raise ValueError(f"depth must be non-negative, got {k}")
+    # w is an outlier of every vertex outside its backward k-ball
+    in_masks = _masks(g.in_lists)
+    return tuple(g.n - reach(in_masks, w, k).bit_count() for w in range(g.n))
 
 
 def excess(g: Digraph, d: int, k: int) -> int:
@@ -312,10 +288,6 @@ def verify(g: Digraph, params: SearchParams) -> VerificationReport:
         outdegree_ok = all(len(targets) >= params.d for targets in g.out)
     diregular_ok = is_diregular(g, params.d)
     witness = find_geodetic_violation(g, params.k)
-    counts = [0] * g.n
-    for u in range(g.n):
-        for w in outlier_set(g, u, params.k):
-            counts[w] += 1
     return VerificationReport(
         params=params,
         order=g.n,
@@ -325,5 +297,5 @@ def verify(g: Digraph, params: SearchParams) -> VerificationReport:
         diregular_ok=diregular_ok,
         geodetic_ok=witness is None,
         geodetic_witness=witness,
-        outlier_counts=tuple(counts),
+        outlier_counts=outlier_multiplicity(g, params.k),
     )

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Digraph, SearchParams, moore_bound, outlier_set, verify
+# verify reports the outlier counts too, so the function lives in core
+from .core import outlier_multiplicity
 
 
 @dataclass(frozen=True)
@@ -200,11 +202,3 @@ def triangle_census(g: Digraph) -> CycleCensus:
                     per_vertex[c] += 1
     return CycleCensus(triangles=tuple(triangles), per_vertex=tuple(per_vertex))
 
-
-def outlier_multiplicity(g: Digraph, k: int) -> tuple[int, ...]:
-    """For each vertex, the number of vertices whose outlier set contains it."""
-    counts = [0] * g.n
-    for u in range(g.n):
-        for w in outlier_set(g, u, k):
-            counts[w] += 1
-    return tuple(counts)

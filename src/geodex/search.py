@@ -33,6 +33,7 @@ from typing import TextIO
 from .canon import CanonicalForm, canonical_form
 from .catalog import read_digraph, write_digraph
 from .core import Digraph, SearchParams, moore_bound, verify
+from .reach import geodetic_ball, reach
 
 SPLIT_SLOTS = 4
 CHECKPOINT_VERSION = 2
@@ -42,13 +43,11 @@ CHECKPOINT_VERSION = 2
 class PartialDigraph:
     """Snapshot of a partially decided digraph.
 
-    out holds the decided prefix of each out-list; frontier is the next
-    (vertex, slot) the generator would fill, or None when complete.
+    out holds the decided prefix of each out-list.
     """
 
     n: int
     out: tuple[tuple[int, ...], ...]
-    frontier: tuple[int, int] | None
 
 
 @dataclass(frozen=True)
@@ -82,17 +81,7 @@ def seed_tree(params: SearchParams) -> PartialDigraph:
     internal = moore_bound(d, k - 1)
     out = tuple(tuple(range(d * v + 1, d * v + d + 1)) if v < internal else ()
                 for v in range(n))
-    return PartialDigraph(n=n, out=out, frontier=(internal, 0))
-
-
-def partial_from_out_lists(n: int, out: list[tuple[int, ...]], d: int) -> PartialDigraph:
-    """Build a PartialDigraph snapshot, deriving the frontier."""
-    frontier = None
-    for v in range(n):
-        if len(out[v]) < d:
-            frontier = (v, len(out[v]))
-            break
-    return PartialDigraph(n=n, out=tuple(tuple(t) for t in out), frontier=frontier)
+    return PartialDigraph(n=n, out=out)
 
 
 class _Engine:
@@ -145,99 +134,41 @@ class _Engine:
 
     # ---- state checks ----
 
-    def _geodetic_from(self, u: int) -> bool:
-        # layered walk scan with duplicate detection over decided arcs
-        out_mask = self.out_mask
-        acc = 1 << u
-        cur = acc
-        for _ in range(self.k):
-            nxt = 0
-            c = cur
-            while c:
-                b = c & -c
-                c ^= b
-                m = out_mask[b.bit_length() - 1]
-                if nxt & m:
-                    return False
-                nxt |= m
-            if nxt & acc:
-                return False
-            if not nxt:
-                return True
-            acc |= nxt
-            cur = nxt
-        return True
-
     def check_state(self) -> bool:
         """Full evaluation of the current partial: False means cut."""
         if self.diregular and any(deg > self.d for deg in self.in_deg):
             return False
-        for u in range(self.n):
-            if not self._geodetic_from(u):
-                return False
+        if not all(geodetic_ball(self.out_mask, u, self.k) for u in range(self.n)):
+            return False
         if self.mult_mode or self.twin_mode:
             return self._global_cuts()
         return True
 
     def _check_after(self, v: int) -> bool:
         # only sources reaching v within k-1 steps can see a new violation
-        in_mask = self.in_mask
-        src = 1 << v
-        cur = src
-        for _ in range(self.k - 1):
-            nxt = 0
-            c = cur
-            while c:
-                b = c & -c
-                c ^= b
-                nxt |= in_mask[b.bit_length() - 1]
-            nxt &= ~src
-            if not nxt:
-                break
-            src |= nxt
-            cur = nxt
-        c = src
+        out_mask, k = self.out_mask, self.k
+        c = reach(self.in_mask, v, k - 1)
         while c:
             b = c & -c
             c ^= b
-            if not self._geodetic_from(b.bit_length() - 1):
+            if not geodetic_ball(out_mask, b.bit_length() - 1, k):
                 return False
         if (self.mult_mode or self.twin_mode) and len(self.out[v]) == self.d:
             return self._global_cuts()
         return True
 
     def _global_cuts(self) -> bool:
-        # k-ball of every source, with finality (ball cannot grow further)
         n, k, d = self.n, self.k, self.d
         out, out_mask = self.out, self.out_mask
         full = (1 << n) - 1
-        accs = [0] * n
-        final = [False] * n
-        for u in range(n):
-            acc = 1 << u
-            cur = acc
-            fin = True
-            for _ in range(k):
-                nxt = 0
-                c = cur
-                while c:
-                    b = c & -c
-                    c ^= b
-                    x = b.bit_length() - 1
-                    if len(out[x]) < d:
-                        fin = False
-                    m = out_mask[x]
-                    if nxt & m:
-                        return False
-                    nxt |= m
-                if nxt & acc:
-                    return False
-                if not nxt:
-                    break
-                acc |= nxt
-                cur = nxt
-            accs[u] = acc
-            final[u] = fin
+        accs = [geodetic_ball(out_mask, u, k) for u in range(n)]
+        if not all(accs):
+            return False
+        # a ball without duplicate walks is final (it cannot grow further)
+        # exactly when it is full size: every vertex within k-1 steps then
+        # has its whole out-list
+        moore = moore_bound(d, k)
+        final = [acc.bit_count() == moore for acc in accs]
         if self.mult_mode:
             # a finished ball pins its outliers for every completion
             eps = self.params.epsilon
@@ -293,20 +224,13 @@ class _Engine:
             raise RuntimeError("internal error: generated digraph fails verification")
         self.results.setdefault(canonical_form(g).data, g)
 
-    def _snapshot(self, v: int) -> PartialDigraph:
-        return PartialDigraph(
-            n=self.n,
-            out=tuple(tuple(t) for t in self.out),
-            frontier=(v, len(self.out[v])),
-        )
-
     def _dfs(self, hint: int, depth: int) -> None:
         v = self._next_open(hint)
         if v is None:
             self._emit()
             return
         if self.split_at is not None and depth == self.split_at:
-            self.tasks.append(self._snapshot(v))
+            self.tasks.append(PartialDigraph(self.n, tuple(tuple(t) for t in self.out)))
             return
         out_v = self.out[v]
         lo = out_v[-1] + 1 if out_v else 0

@@ -49,6 +49,38 @@ def geodetic_oracle(g: Digraph, k: int) -> bool:
     return True
 
 
+def bfs_distances(g: Digraph, u: int) -> dict[int, int]:
+    """Shortest-path distance from u to every vertex it reaches, by plain BFS."""
+    dist = {u: 0}
+    queue = [u]
+    for x in queue:
+        for w in g.out[x]:
+            if w not in dist:
+                dist[w] = dist[x] + 1
+                queue.append(w)
+    return dist
+
+
+def walks_from(g: Digraph, u: int, k: int) -> list[tuple[int, ...]]:
+    """Every walk of length 0..k from u, as vertex tuples."""
+    walks = [(u,)]
+    layer = [(u,)]
+    for _ in range(k):
+        layer = [walk + (w,) for walk in layer for w in g.out[walk[-1]]]
+        walks += layer
+    return walks
+
+
+def first_violation_oracle(g: Digraph, k: int) -> tuple[int, int] | None:
+    """Lexicographically first (source, target) joined by two walks of length 0..k."""
+    for u in range(g.n):
+        ends = [walk[-1] for walk in walks_from(g, u, k)]
+        for v in range(g.n):
+            if ends.count(v) >= 2:
+                return u, v
+    return None
+
+
 def iso_oracle(g: Digraph, h: Digraph) -> bool:
     """Isomorphism by brute force over all vertex bijections."""
     if g.n != h.n or g.arc_count() != h.arc_count():

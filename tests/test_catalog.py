@@ -13,6 +13,7 @@ from geodex import (
     verify,
     write_digraph,
 )
+from geodex.catalog import MAX_ORDER
 from strategies import digraphs
 
 A_ARCS = {
@@ -121,6 +122,11 @@ class TestRead:
     def test_bad_header_order(self):
         with pytest.raises(DigraphFormatError, match="line 1"):
             read_digraph("n x\n")
+
+    def test_order_limit(self):
+        assert read_digraph(f"n {MAX_ORDER}\n").n == MAX_ORDER
+        with pytest.raises(DigraphFormatError, match="exceeds the limit"):
+            read_digraph(f"n {MAX_ORDER + 1}\n")
 
     def test_parse_error_carries_line_number(self):
         with pytest.raises(DigraphFormatError, match="line 3"):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from geodex import canonical_form, read_digraph, write_digraph
+from geodex.catalog import MAX_ORDER
 from geodex.cli import run
 
 
@@ -118,6 +119,20 @@ class TestCanon:
         p = tmp_path / "bad.dg"
         p.write_text("not a digraph\n")
         assert invoke("canon", str(p))[0] == 2
+
+    def test_empty_digraph(self, tmp_path):
+        p = tmp_path / "empty.dg"
+        p.write_text("n 0\n")
+        code, out, err = invoke("canon", str(p))
+        assert (code, out) == (2, "")
+        assert err == "error: canonical form requires at least one vertex\n"
+
+    def test_order_above_limit(self, tmp_path):
+        p = tmp_path / "huge.dg"
+        p.write_text(f"n {MAX_ORDER + 1}\n")
+        code, out, err = invoke("canon", str(p))
+        assert (code, out) == (2, "")
+        assert f"order {MAX_ORDER + 1} exceeds the limit of {MAX_ORDER}" in err
 
 
 class TestIso:

@@ -8,15 +8,15 @@ from geodex import (
     distance_layer,
     excess,
     find_geodetic_violation,
-    in_neighbourhood,
     is_diregular,
     is_k_geodetic,
     moore_bound,
-    out_neighbourhood,
+    outlier_multiplicity,
     outlier_set,
     verify,
 )
-from oracles import geodetic_oracle
+from geodex.reach import geodetic_ball
+from oracles import bfs_distances, first_violation_oracle, geodetic_oracle, walks_from
 from strategies import digraphs
 
 THREE_CYCLE = Digraph(3, [(1,), (2,), (0,)])
@@ -83,24 +83,6 @@ class TestDigraph:
         assert THREE_CYCLE != K3
 
 
-class TestNeighbourhoods:
-    def test_out(self, cat_a, cat_b):
-        assert out_neighbourhood(cat_a, 0) == (1, 2)
-        assert out_neighbourhood(cat_b, 4) == (5, 6)
-        assert out_neighbourhood(Digraph(1, [()]), 0) == ()
-
-    def test_in(self, cat_a, cat_b):
-        assert in_neighbourhood(cat_a, 0) == (3, 6)
-        assert in_neighbourhood(cat_b, 8) == (5, 7)
-        assert in_neighbourhood(THREE_CYCLE, 1) == (0,)
-
-    def test_out_of_range(self, cat_a):
-        with pytest.raises(ValueError):
-            out_neighbourhood(cat_a, 9)
-        with pytest.raises(ValueError):
-            in_neighbourhood(cat_a, -1)
-
-
 class TestDistanceLayers:
     def test_catalog_a_layer_two(self, cat_a):
         assert distance_layer(cat_a, 0, 2) == (3, 4, 5, 6)
@@ -133,6 +115,19 @@ class TestDistanceLayers:
             outside = set(outlier_set(g, u, k))
             assert not inside & outside
             assert inside | outside == set(range(g.n))
+
+    @given(digraphs(max_n=7, loops=True), st.integers(0, 4))
+    def test_match_bfs_oracle(self, g, r):
+        counts = [0] * g.n
+        for u in range(g.n):
+            dist = bfs_distances(g, u)
+            outliers = tuple(v for v in range(g.n) if dist.get(v, r + 1) > r)
+            assert ball(g, u, r) == tuple(sorted(v for v, dv in dist.items() if dv <= r))
+            assert distance_layer(g, u, r) == tuple(sorted(v for v, dv in dist.items() if dv == r))
+            assert outlier_set(g, u, r) == outliers
+            for v in outliers:
+                counts[v] += 1
+        assert outlier_multiplicity(g, r) == tuple(counts)
 
 
 class TestGeodetic:
@@ -171,6 +166,29 @@ class TestGeodetic:
     @settings(max_examples=150)
     def test_matches_path_enumeration_oracle(self, g, k):
         assert is_k_geodetic(g, k) == geodetic_oracle(g, k)
+
+    @given(digraphs(max_n=6, loops=True), st.integers(1, 3))
+    @settings(max_examples=150)
+    def test_witness_is_first_pair_with_two_walks(self, g, k):
+        v = find_geodetic_violation(g, k)
+        expected = first_violation_oracle(g, k)
+        if expected is None:
+            assert v is None
+            return
+        assert (v.source, v.target) == expected
+        assert v.walk_a != v.walk_b
+        for walk in (v.walk_a, v.walk_b):
+            assert walk in walks_from(g, v.source, k)
+            assert walk[-1] == v.target
+
+    @given(digraphs(max_n=6, loops=True), st.integers(1, 3))
+    def test_geodetic_ball_is_ball_or_zero(self, g, k):
+        masks = [sum(1 << w for w in targets) for targets in g.out]
+        for u in range(g.n):
+            ends = [walk[-1] for walk in walks_from(g, u, k)]
+            inside = sum(1 << v for v, dv in bfs_distances(g, u).items() if dv <= k)
+            expected = inside if len(ends) == len(set(ends)) else 0
+            assert geodetic_ball(masks, u, k) == expected
 
 
 class TestOutliers:

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from geodex import (
     Digraph,
+    PartialDigraph,
     SearchParams,
     canonical_form,
     is_k_geodetic,
@@ -13,7 +14,6 @@ from geodex import (
     split_tasks,
     verify,
 )
-from geodex.search import partial_from_out_lists
 from oracles import naive_diregular_search
 
 P222 = SearchParams(d=2, k=2, epsilon=2, diregular=True)
@@ -25,7 +25,6 @@ class TestSeedTree:
         assert s.n == 9
         assert s.out[:3] == ((1, 2), (3, 4), (5, 6))
         assert s.out[3:] == ((),) * 6
-        assert s.frontier == (3, 0)
 
     def test_path_seed_for_degree_one(self):
         s = seed_tree(SearchParams(d=1, k=3, epsilon=0, diregular=True))
@@ -46,31 +45,25 @@ class TestPrune:
     def test_cuts_short_cycle(self):
         # 0 -> 1 -> 3 -> 0 is a 3-cycle, forbidden for k=3
         p3 = SearchParams(d=2, k=3, epsilon=2, diregular=True)
-        partial3 = partial_from_out_lists(
-            17, [(1, 2), (3, 4), (5, 6), (0,)] + [()] * 13, 2
-        )
+        partial3 = PartialDigraph(n=17, out=((1, 2), (3, 4), (5, 6), (0,)) + ((),) * 13)
         assert prune(partial3, p3) is True
 
     def test_cuts_duplicate_walk(self):
-        partial = partial_from_out_lists(
-            9, [(1, 2), (3, 4), (3,), (), (), (), (), (), ()], 2
-        )
+        partial = PartialDigraph(n=9, out=((1, 2), (3, 4), (3,), (), (), (), (), (), ()))
         # both 0->1->3 and 0->2->3 reach 3 within two steps
         assert prune(partial, P222) is True
 
     def test_cuts_in_degree_overflow(self):
-        partial = partial_from_out_lists(
-            9, [(1, 2), (3, 4), (5, 6), (5,), (5,), (), (), (), ()], 2
-        )
+        partial = PartialDigraph(n=9, out=((1, 2), (3, 4), (5, 6), (5,), (5,), (), (), (), ()))
         assert prune(partial, P222) is True
 
     def test_keeps_catalog_prefix(self, cat_a):
-        partial = partial_from_out_lists(9, list(cat_a.out[:6]) + [()] * 3, 2)
+        partial = PartialDigraph(n=9, out=cat_a.out[:6] + ((),) * 3)
         assert prune(partial, P222) is False
 
     def test_keeps_completed_catalog(self, cat_a, cat_b):
         for g in (cat_a, cat_b):
-            assert prune(partial_from_out_lists(9, g.out, 2), P222) is False
+            assert prune(PartialDigraph(n=9, out=g.out), P222) is False
 
 
 class TestClassification:
