@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .reach import geodetic_ball, reach
+from .reach import geodetic_ball, layers, reach
 
 
 def moore_bound(d: int, k: int) -> int:
@@ -107,9 +107,8 @@ def distance_layer(g: Digraph, u: int, l: int) -> tuple[int, ...]:
     _check_vertex(g, u)
     if l < 0:
         raise ValueError(f"layer depth must be non-negative, got {l}")
-    masks = _masks(g.out)
-    inner = reach(masks, u, l - 1) if l else 0
-    return _members(reach(masks, u, l) & ~inner, g.n)
+    found = layers(_masks(g.out), u, l)
+    return _members(found[l] if l < len(found) else 0, g.n)
 
 
 def ball(g: Digraph, u: int, l: int) -> tuple[int, ...]:

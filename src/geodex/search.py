@@ -9,14 +9,19 @@ new vertex may only enter as the smallest unused index.  Every digraph
 with out-degree exactly d has a relabeling that the grammar produces, so
 nothing is lost; duplicates that survive are removed by canonical form.
 
-Pruning is incremental.  After an arc v -> w lands, only sources that
-reach v within k-1 steps can gain a duplicate short walk or a short
-closed walk, so only those are rescanned.  Whenever an out-list fills,
-the diregular modes additionally run global cuts: a vertex locked out of
-three or more finished k-balls in excess-2 mode (more generally, more
-than epsilon), and the twin consequences for identical out-neighbourhood
-pairs in the degree-2 excess-2 mode.  All cuts are sound: they only fire
-on partials no valid completion can extend.
+Pruning is incremental.  The engine stores every vertex's k-ball.  After
+an arc v -> w lands, only sources that reach v within k-1 steps gain
+walks, and the new ones all run through the arc: a source t steps from
+v gains w's ball of radius k-1-t, which must not meet its stored ball.
+So each arc costs one backward scan from v, one scan of w's balls and
+one AND per source, and the stored balls grow (and are undone on
+backtrack) by exactly those new ends.  Whenever an out-list fills,
+the diregular modes additionally run global cuts on the stored balls: a
+vertex locked out of three or more finished k-balls in excess-2 mode
+(more generally, more than epsilon), and the twin consequences for
+identical out-neighbourhood pairs in the degree-2 excess-2 mode.  All
+cuts are sound: they only fire on partials no valid completion can
+extend.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import TextIO
 from .canon import CanonicalForm, canonical_form
 from .catalog import read_digraph, write_digraph
 from .core import Digraph, SearchParams, moore_bound, verify
-from .reach import geodetic_ball, reach
+from .reach import geodetic_ball, geodetic_balls, layers
 
 SPLIT_SLOTS = 4
 CHECKPOINT_VERSION = 2
@@ -135,35 +140,61 @@ class _Engine:
     # ---- state checks ----
 
     def check_state(self) -> bool:
-        """Full evaluation of the current partial: False means cut."""
+        """Full evaluation of the current partial: False means cut.
+
+        Also stores every vertex's k-ball in self.balls, which the
+        per-arc check then keeps up to date.
+        """
+        self.balls = [geodetic_ball(self.out_mask, u, self.k) for u in range(self.n)]
         if self.diregular and any(deg > self.d for deg in self.in_deg):
             return False
-        if not all(geodetic_ball(self.out_mask, u, self.k) for u in range(self.n)):
+        if not all(self.balls):
             return False
         if self.mult_mode or self.twin_mode:
             return self._global_cuts()
         return True
 
-    def _check_after(self, v: int) -> bool:
-        # only sources reaching v within k-1 steps can see a new violation
-        out_mask, k = self.out_mask, self.k
-        c = reach(self.in_mask, v, k - 1)
-        while c:
-            b = c & -c
-            c ^= b
-            if not geodetic_ball(out_mask, b.bit_length() - 1, k):
-                return False
+    def _check_after(self, v: int, w: int) -> list[tuple[int, int]] | None:
+        """Test the walks through the new arc v -> w; None means cut.
+
+        The partial was k-geodetic before the arc, so a source s at
+        backward distance t from v reaches v by one walk, and its new
+        walks follow that walk and the arc, then at most k-1-t steps
+        from w.  Their ends must miss balls[s], which holds s itself, so
+        closed walks count.  Walks from w can only meet each other by
+        returning to w, which the source w then fails too; the scan of
+        w's balls stops early for that case.  On success each such
+        balls[s] gains the new ends and the (s, old ball) pairs are
+        returned for undo; on a cut the balls are left as they were.
+        """
+        k, balls = self.k, self.balls
+        ahead = geodetic_balls(self.out_mask, w, k - 1)
+        if not ahead:
+            return None
+        undo = []
+        for layer, new in zip(layers(self.in_mask, v, k - 1), reversed(ahead)):
+            while layer:
+                b = layer & -layer
+                layer ^= b
+                s = b.bit_length() - 1
+                old = balls[s]
+                if old & new:
+                    for s, old in undo:
+                        balls[s] = old
+                    return None
+                undo.append((s, old))
+                balls[s] = old | new
         if (self.mult_mode or self.twin_mode) and len(self.out[v]) == self.d:
-            return self._global_cuts()
-        return True
+            if not self._global_cuts():
+                for s, old in undo:
+                    balls[s] = old
+                return None
+        return undo
 
     def _global_cuts(self) -> bool:
         n, k, d = self.n, self.k, self.d
-        out, out_mask = self.out, self.out_mask
+        out, accs = self.out, self.balls
         full = (1 << n) - 1
-        accs = [geodetic_ball(out_mask, u, k) for u in range(n)]
-        if not all(accs):
-            return False
         # a ball without duplicate walks is final (it cannot grow further)
         # exactly when it is full size: every vertex within k-1 steps then
         # has its whole out-list
@@ -235,7 +266,7 @@ class _Engine:
         out_v = self.out[v]
         lo = out_v[-1] + 1 if out_v else 0
         hi = min(self.n - 1, max(self.max_used, v) + 1)
-        d = self.d
+        d, balls = self.d, self.balls
         for w in range(lo, hi + 1):
             if w == v:
                 continue
@@ -254,8 +285,11 @@ class _Engine:
                 self.max_used = w
             if self.max_used < v:
                 self.max_used = v
-            if self._check_after(v):
+            undo = self._check_after(v, w)
+            if undo is not None:
                 self._dfs(v, depth + 1)
+                for s, old in undo:
+                    balls[s] = old
             out_v.pop()
             self.out_mask[v] ^= 1 << w
             self.in_deg[w] -= 1
@@ -407,7 +441,8 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
 
     Every vertex gets out-degree exactly d; the diregular flag adds the
     in-degree d requirement.  The split always runs in full; its tasks run
-    in jobs processes and are taken in index order.  params.max_nodes
+    in at most jobs processes (no more than the pending tasks or the
+    cores) and are taken in index order.  params.max_nodes
     counts the split, then each task: a task is accepted only if it
     finished within the budget still left, and the first that did not is
     discarded and ends the run, as does reaching params.max_results
@@ -428,8 +463,10 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
     def payload(i: int):
         return params, pruning, tasks[i], None if left is None else max(0, left)
 
-    use_pool = jobs > 1 and len(pending) > 1
-    with multiprocessing.Pool(processes=jobs) if use_pool else contextlib.nullcontext() as pool:
+    # more workers than pending tasks or cores would only sit idle
+    workers = min(jobs, len(pending), os.cpu_count() or 1)
+    use_pool = workers > 1
+    with multiprocessing.Pool(processes=workers) if use_pool else contextlib.nullcontext() as pool:
         # A pool task gets the budget left after the split, a serial one the
         # budget left when it starts; the acceptance check makes them agree.
         outcomes = (pool.imap(_worker, [payload(i) for i in pending]) if use_pool

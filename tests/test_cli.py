@@ -307,6 +307,7 @@ class TestCheckpointBudgetAndJobs:
 
     def test_jobs_with_checkpoint_match_serial_slices(self, tmp_path, monkeypatch):
         import multiprocessing
+        import os
 
         pools = []
         real_pool = multiprocessing.Pool
@@ -317,6 +318,7 @@ class TestCheckpointBudgetAndJobs:
 
         serial = _slices(tmp_path / "serial.json")
         monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool never outgrows the cores
         parallel = _slices(tmp_path / "parallel.json", "--jobs", "2")
         assert len(serial) > 1
         assert parallel == serial

@@ -15,7 +15,7 @@ from geodex import (
     outlier_set,
     verify,
 )
-from geodex.reach import geodetic_ball
+from geodex.reach import geodetic_ball, geodetic_balls
 from oracles import bfs_distances, first_violation_oracle, geodetic_oracle, walks_from
 from strategies import digraphs
 
@@ -189,6 +189,10 @@ class TestGeodetic:
             inside = sum(1 << v for v, dv in bfs_distances(g, u).items() if dv <= k)
             expected = inside if len(ends) == len(set(ends)) else 0
             assert geodetic_ball(masks, u, k) == expected
+            # the prefix balls of radius 0..k, or none at all
+            radii = [sum(1 << v for v, dv in bfs_distances(g, u).items() if dv <= r)
+                     for r in range(k + 1)]
+            assert geodetic_balls(masks, u, k) == (radii if expected else [])
 
 
 class TestOutliers:

@@ -1,5 +1,8 @@
+import multiprocessing
+import os
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from geodex import (
     Digraph,
@@ -14,6 +17,8 @@ from geodex import (
     split_tasks,
     verify,
 )
+from geodex.reach import geodetic_ball
+from geodex.search import _Engine
 from oracles import naive_diregular_search
 
 P222 = SearchParams(d=2, k=2, epsilon=2, diregular=True)
@@ -89,6 +94,13 @@ class TestClassification:
         # deterministic node accounting; changes mean the walk order changed
         assert search(P222).nodes_explored == 3724
 
+    def test_out_regular_search_finds_only_the_diregular_classes(self):
+        # every 2-out-regular 2-geodetic digraph of order 9 is diregular
+        out = search(SearchParams(d=2, k=2, epsilon=2, diregular=False))
+        assert out.complete
+        assert out.nodes_explored == 8806
+        assert [r.form for r in out.results] == [r.form for r in search(P222).results]
+
 
 class TestNonexistence:
     def test_no_excess_one_digraph(self):
@@ -124,6 +136,33 @@ class TestDeterminism:
             ]
             assert out.nodes_explored == base.nodes_explored
             assert out.complete == base.complete
+
+    # (2,2,+2) splits into 30 tasks; None means no pool, a serial run
+    @pytest.mark.parametrize("jobs,cores,workers", [
+        (64, 1000, 30), (64, 4, 4), (3, 1000, 3), (64, 1, None), (64, None, None),
+    ])
+    def test_pool_never_larger_than_tasks_or_cores(self, monkeypatch, jobs, cores, workers):
+        serial = search(P222)
+        sizes = []
+
+        class InlinePool:
+            # records the size asked for and runs the tasks in this process
+            def __init__(self, processes=None):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert search(P222, jobs=jobs) == serial
+        assert sizes == ([] if workers is None else [workers])
 
     def test_repeat_runs_identical(self):
         a, b = search(P222), search(P222)
@@ -225,6 +264,17 @@ class TestPruningModes:
         p = SearchParams(d=2, k=2, epsilon=1, diregular=True)
         assert search(p, pruning="basic").results == ()
 
+    @pytest.mark.parametrize("epsilon,full_nodes,basic_nodes,classes", [
+        (2, 3724, 3960, 2), (3, 39559, 53355, 7),
+    ])
+    def test_node_counts_frozen(self, epsilon, full_nodes, basic_nodes, classes):
+        params = SearchParams(d=2, k=2, epsilon=epsilon, diregular=True)
+        full = search(params)
+        basic = search(params, pruning="basic")
+        assert (full.nodes_explored, basic.nodes_explored) == (full_nodes, basic_nodes)
+        assert len(full.results) == classes
+        assert [r.form for r in basic.results] == [r.form for r in full.results]
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             search(P222, pruning="fancy")
@@ -254,3 +304,83 @@ class TestEmittedInvariants:
         for r in search(params).results:
             assert is_k_geodetic(r.digraph, k)
             assert verify(r.digraph, params).ok
+
+
+class _AuditedEngine(_Engine):
+    """The engine with its per-arc check and its stored balls audited at every node."""
+
+    def __init__(self, params, pruning, start, budget):
+        super().__init__(params, pruning, start, budget)
+        self.pruning = pruning
+        self.checked = 0
+
+    def _fresh_balls(self):
+        return [geodetic_ball(self.out_mask, u, self.k) for u in range(self.n)]
+
+    def _check_after(self, v, w):
+        before = list(self.balls)
+        undo = super()._check_after(v, w)
+        self.checked += 1
+        # the global cuts run only when v's out-list has just filled
+        mode = self.pruning if len(self.out[v]) == self.d else "basic"
+        partial = PartialDigraph(self.n, tuple(tuple(sorted(t)) for t in self.out))
+        assert (undo is not None) == (not prune(partial, self.params, mode))
+        if undo is None:
+            assert self.balls == before
+        else:
+            assert self.balls == self._fresh_balls()
+        return undo
+
+    def _dfs(self, hint, depth):
+        before = list(self.balls)
+        super()._dfs(hint, depth)
+        assert self.balls == before
+
+
+@st.composite
+def geodetic_partials(draw):
+    """A search's parameters and a partial on its seed tree that basic pruning keeps."""
+    d, k, eps, diregular = draw(st.sampled_from([
+        (2, 2, 2, True), (2, 2, 2, False), (2, 2, 3, True), (2, 3, 2, True), (3, 2, 1, True),
+    ]))
+    params = SearchParams(d=d, k=k, epsilon=eps, diregular=diregular)
+    out = [list(row) for row in seed_tree(params).out]
+    n = params.order
+    for _ in range(draw(st.integers(0, n))):
+        open_ = [v for v in range(n) if len(out[v]) < d]
+        if not open_:
+            break
+        v = draw(st.sampled_from(open_))
+        in_deg = [sum(w in row for row in out) for w in range(n)]
+        targets = [w for w in range(n) if w != v and w not in out[v]
+                   and not (diregular and in_deg[w] >= d)]
+        if not targets:
+            continue
+        out[v].append(draw(st.sampled_from(targets)))
+        partial = PartialDigraph(n, tuple(tuple(sorted(row)) for row in out))
+        if prune(partial, params, "basic"):
+            out[v].pop()
+    return params, PartialDigraph(n, tuple(tuple(sorted(row)) for row in out))
+
+
+class TestIncrementalCheck:
+    @given(geodetic_partials(), st.sampled_from(["basic", "full"]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_full_rescan(self, case, pruning):
+        # every arc the engine lands from a random partial: its verdict is
+        # prune's, its stored balls are fresh k-balls, and the undo restores them
+        params, partial = case
+        engine = _AuditedEngine(params, pruning, partial, budget=150)
+        assume(engine.check_state())  # the global cuts may drop what basic kept
+        initial = list(engine.balls)
+        assert initial == engine._fresh_balls()
+        engine.run()
+        assert engine.balls == initial
+        assert engine.checked == engine.nodes
+
+    def test_whole_search_audited(self):
+        engine = _AuditedEngine(P222, "full", seed_tree(P222), budget=None)
+        engine.run()
+        assert engine.nodes == 3724
+        assert len(engine.results) == 2
+        assert engine.balls == engine._fresh_balls()
