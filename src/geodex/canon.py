@@ -4,10 +4,18 @@ The labeling algorithm is ordinary iterated neighbourhood refinement down
 to an equitable ordered partition, then backtracking over the vertices of
 a target cell.  Every discrete leaf yields a relabeling; the canonical
 form is the lexicographically smallest adjacency encoding over all
-leaves.  Leaves that tie for the minimum differ from each other exactly by
-the automorphisms of the digraph, which is where the orbit partition
-comes from.  No randomisation and no hashing order is involved anywhere,
-so the bytes are stable across runs and processes.
+leaves.  Two leaves with equal encodings differ by an automorphism, so
+the walk records one whenever a leaf ties with the first leaf or the
+best so far (McKay, "Practical graph isomorphism", 1981).  It then skips
+a child that the recorded automorphisms fixing the path's individualised
+vertices map onto an explored sibling, and leaves at once a subtree that
+a new automorphism maps onto an explored one.  A skipped subtree is the
+image of one walked earlier, so it holds no smaller encoding and not the
+first labeling that attains the minimum: the bytes and that labeling are
+those of the full walk.  By McKay's first-path argument the recorded
+automorphisms generate the whole group, which is where the orbit
+partition comes from.  No randomisation and no hashing order is involved
+anywhere, so the bytes are stable across runs and processes.
 """
 
 from __future__ import annotations
@@ -84,9 +92,9 @@ def _target_cell(cells: list[list[int]]) -> int | None:
     return best
 
 
-def _rows_for(g: Digraph, lab: list[int]) -> tuple[int, ...]:
-    # adjacency of the relabeled digraph, one integer per new row, bit
-    # n-1-j set when new vertex i has an arc to new vertex j
+def _code(g: Digraph, lab: list[int]) -> int:
+    # adjacency of the relabeled digraph as n rows of n bits, new row 0
+    # first; bit n-1-j of row i is set when new vertex i has an arc to j
     n = g.n
     rows = [0] * n
     for v in range(n):
@@ -94,66 +102,133 @@ def _rows_for(g: Digraph, lab: list[int]) -> tuple[int, ...]:
         for w in g.out[v]:
             r |= 1 << (n - 1 - lab[w])
         rows[lab[v]] = r
-    return tuple(rows)
+    code = 0
+    for r in rows:
+        code = code << n | r
+    return code
 
 
-def _best_labelings(g: Digraph) -> tuple[tuple[int, ...], list[list[int]]]:
-    """Minimal adjacency rows over all discrete refinements, with every
-    labeling that attains them."""
+def _pack(n: int, code: int) -> bytes:
+    nbytes = (n * n + 7) // 8
+    return n.to_bytes(4, "big") + (code << nbytes * 8 - n * n).to_bytes(nbytes, "big")
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], perm: list[int]) -> None:
+    for v, w in enumerate(perm):
+        a, b = _find(parent, v), _find(parent, w)
+        if a != b:
+            parent[a] = b
+
+
+def _best_labelings(g: Digraph, memo: dict | None = None
+                    ) -> tuple[CanonicalForm, list[int] | None, list[list[int]]]:
+    """The canonical form, the first labeling in walk order that attains
+    it, and the automorphisms found, which generate the whole group.
+
+    A memo maps the bytes of leaves (relabeled copies of the digraphs it
+    has seen) to their forms.  When the first leaf is there the walk
+    stops and returns (that form, None, []); otherwise every leaf it
+    visits is stored under the form it found.
+    """
     n = g.n
-    best_rows: tuple[int, ...] | None = None
-    best_labs: list[list[int]] = []
+    path: list[int] = []
+    auts: list[list[int]] = []
+    leaves: list[int] = []
+    first = best = None  # (code, labeling, path) of the first and the best leaf
+    hit = None
 
-    def walk(cells: list[list[int]]) -> None:
-        nonlocal best_rows, best_labs
+    def leaf(cells: list[list[int]]) -> int:
+        nonlocal first, best, hit
+        lab = [0] * n
+        for pos, cell in enumerate(cells):
+            lab[cell[0]] = pos
+        code = _code(g, lab)
+        leaves.append(code)
+        if first is None:
+            first = best = code, lab, tuple(path)
+            hit = memo.get(_pack(n, code)) if memo is not None else None
+            return -1 if hit else len(path)
+        for code0, lab0, path0 in (first, best):
+            if code == code0:
+                # the vertex at each position of lab0 goes to the one at the
+                # same position of lab; the subtree where the two paths part
+                # is the image of the one that holds lab0, so leave it
+                inv = [0] * n
+                for v, pos in enumerate(lab):
+                    inv[pos] = v
+                auts.append([inv[pos] for pos in lab0])
+                depth = 0
+                while path[depth] == path0[depth]:
+                    depth += 1
+                return depth
+        if code < best[0]:
+            best = code, lab, tuple(path)
+        return len(path)
+
+    def walk(cells: list[list[int]]) -> int:
+        # returns the depth of the node to go on at: this node's own depth
+        # or more means its next child, less means unwind to that node
         cells = _refine(g, cells)
         target = _target_cell(cells)
         if target is None:
-            lab = [0] * n
-            for pos, cell in enumerate(cells):
-                lab[cell[0]] = pos
-            rows = _rows_for(g, lab)
-            if best_rows is None or rows < best_rows:
-                best_rows = rows
-                best_labs = [lab]
-            elif rows == best_rows:
-                best_labs.append(lab)
-            return
+            return leaf(cells)
+        depth = len(path)
         cell = cells[target]
+        parent = list(range(n))
+        used = 0
+        explored: list[int] = []
         for v in cell:
-            child = cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1 :]
-            walk(child)
+            if explored:
+                for aut in auts[used:]:
+                    if all(aut[u] == u for u in path):
+                        _union(parent, aut)
+                used = len(auts)
+                root = _find(parent, v)
+                if any(_find(parent, u) == root for u in explored):
+                    continue
+            explored.append(v)
+            path.append(v)
+            back = walk(cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1:])
+            path.pop()
+            if back < depth:
+                return back
+        return depth
 
-    if n == 0:
-        return (), [[]]
     walk([list(range(n))])
-    assert best_rows is not None
-    return best_rows, best_labs
+    if hit:
+        return hit, None, []
+    form = CanonicalForm(_pack(n, best[0]))
+    if memo is not None:
+        for code in leaves:
+            memo[_pack(n, code)] = form
+    return form, best[1], auts
 
 
-def _pack(n: int, rows: tuple[int, ...]) -> bytes:
-    bits = 0
-    for r in rows:
-        bits = (bits << n) | r
-    nbytes = (n * n + 7) // 8
-    bits <<= nbytes * 8 - n * n
-    return n.to_bytes(4, "big") + bits.to_bytes(nbytes, "big")
+def canonical_form(g: Digraph, memo: dict | None = None) -> CanonicalForm:
+    """Canonical byte encoding of the isomorphism class of g.
 
-
-def canonical_form(g: Digraph) -> CanonicalForm:
-    """Canonical byte encoding of the isomorphism class of g."""
+    memo, if given, is a dict that this function fills and reads: it maps
+    every leaf a call visits to the form found, and a later call whose
+    first leaf is there returns that form after one root-to-leaf path.
+    A leaf is the adjacency matrix of a relabeled copy, so a hit is exact.
+    """
     if g.n < 1:
         raise ValueError("canonical form requires at least one vertex")
-    rows, _ = _best_labelings(g)
-    return CanonicalForm(_pack(g.n, rows))
+    return _best_labelings(g, memo)[0]
 
 
 def canonical_relabelling(g: Digraph) -> list[int]:
     """One labeling (vertex -> new index) attaining the canonical form."""
     if g.n < 1:
         raise ValueError("canonical form requires at least one vertex")
-    _, labs = _best_labelings(g)
-    return list(labs[0])
+    return list(_best_labelings(g)[1])
 
 
 def are_isomorphic(g: Digraph, h: Digraph) -> bool:
@@ -168,35 +243,20 @@ def are_isomorphic(g: Digraph, h: Digraph) -> bool:
 def automorphism_orbits(g: Digraph) -> OrbitPartition:
     """Orbit partition of the vertices under the full automorphism group.
 
-    The labelings tying for the canonical encoding are in bijection with
-    the automorphisms, so union-find over those permutations yields the
-    exact orbits; orbit_count == 1 means vertex-transitive.
+    The automorphisms the canonical walk finds generate the group, so
+    union-find over them yields the exact orbits; orbit_count == 1 means
+    vertex-transitive.
     """
     if g.n < 1:
         raise ValueError("orbit partition requires at least one vertex")
-    _, labs = _best_labelings(g)
     n = g.n
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    base = labs[0]
-    inv_base = [0] * n
-    for v, pos in enumerate(base):
-        inv_base[pos] = v
-    for lab in labs[1:]:
-        for v in range(n):
-            a, b = find(v), find(inv_base[lab[v]])
-            if a != b:
-                parent[a] = b
+    for aut in _best_labelings(g)[2]:
+        _union(parent, aut)
     ids = [-1] * n
     count = 0
     for v in range(n):
-        root = find(v)
+        root = _find(parent, v)
         if ids[root] == -1:
             ids[root] = count
             count += 1

@@ -3,10 +3,12 @@
 Results go to stdout, diagnostics to stderr.  Exit code 0 means success
 or a verified/true answer, 1 means a failed verification or a false
 answer (non-isomorphic, incomplete search, no witness), 2 means a usage
-or parse error.  No environment variables are consulted.
+or parse error or a file that cannot be written.  No environment
+variables are consulted.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -33,6 +35,13 @@ def _load_digraph(path: str):
         raise _UsageError(f"cannot read {path}: {exc}") from None
     except DigraphFormatError as exc:
         raise _UsageError(f"{path}: {exc}") from None
+
+
+def _open_for_writing(path: str, mode: str = "w"):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _params_from(args) -> SearchParams:
@@ -104,34 +113,35 @@ def _cmd_iso(args, out, err) -> int:
 
 def _cmd_census(args, out, err) -> int:
     g = _load_digraph(args.path)
-    census = triangle_census(g)
-    classify_ok = True
-    try:
-        params = SearchParams(d=args.d, k=args.k, epsilon=args.excess, diregular=True)
-        classify_ok = verify(g, params).ok and args.d == 2 and args.k == 2 and args.excess == 2
-    except ValueError:
-        classify_ok = False
-    for tri in census.triangles:
-        print("triangle " + " ".join(map(str, tri)), file=out)
-    print("per-vertex " + " ".join(map(str, census.per_vertex)), file=out)
-    pair_rows = []
-    for c in (1, 2):
-        for pc in common_out_pairs(g, c):
-            label = "-"
-            if c == 1 and classify_ok:
-                label = "bad" if classify_pair(g, pc.u, pc.v, 2).bad else "good"
-            pair_rows.append((pc.u, pc.v, c, label))
-            print(f"pair {pc.u} {pc.v} common {c} {label}", file=out)
-    if args.emit:
-        dump = {
-            "triangles": [list(t) for t in census.triangles],
-            "per_vertex": list(census.per_vertex),
-            "pairs": [{"u": u, "v": v, "common": c, "class": label}
-                      for u, v, c, label in pair_rows],
-        }
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            json.dump(dump, fh, indent=2)
-            fh.write("\n")
+    # opened before anything is printed, so that a bad path prints nothing
+    with _open_for_writing(args.emit) if args.emit else contextlib.nullcontext() as emit:
+        census = triangle_census(g)
+        classify_ok = True
+        try:
+            params = SearchParams(d=args.d, k=args.k, epsilon=args.excess, diregular=True)
+            classify_ok = verify(g, params).ok and args.d == 2 and args.k == 2 and args.excess == 2
+        except ValueError:
+            classify_ok = False
+        for tri in census.triangles:
+            print("triangle " + " ".join(map(str, tri)), file=out)
+        print("per-vertex " + " ".join(map(str, census.per_vertex)), file=out)
+        pair_rows = []
+        for c in (1, 2):
+            for pc in common_out_pairs(g, c):
+                label = "-"
+                if c == 1 and classify_ok:
+                    label = "bad" if classify_pair(g, pc.u, pc.v, 2).bad else "good"
+                pair_rows.append((pc.u, pc.v, c, label))
+                print(f"pair {pc.u} {pc.v} common {c} {label}", file=out)
+        if emit:
+            dump = {
+                "triangles": [list(t) for t in census.triangles],
+                "per_vertex": list(census.per_vertex),
+                "pairs": [{"u": u, "v": v, "common": c, "class": label}
+                          for u, v, c, label in pair_rows],
+            }
+            json.dump(dump, emit, indent=2)
+            emit.write("\n")
     return 0
 
 
@@ -142,11 +152,14 @@ def _cmd_search(args, out, err) -> int:
             f"order {params.order} search may run for hours; pass --long-run to confirm"
         )
     checkpoint = Checkpoint(args.checkpoint, err) if args.checkpoint else None
-    outcome = search(params, jobs=args.jobs, checkpoint=checkpoint)
-    blocks = [write_digraph(r.digraph) for r in outcome.results]
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(blocks))
+    # opened before the search, so that a bad path fails before any task
+    # runs, but emptied only once the search has returned
+    with _open_for_writing(args.emit, "a") if args.emit else contextlib.nullcontext() as emit:
+        outcome = search(params, jobs=args.jobs, checkpoint=checkpoint)
+        blocks = [write_digraph(r.digraph) for r in outcome.results]
+        if emit:
+            emit.truncate(0)
+            emit.write("\n".join(blocks))
     for block in blocks:
         out.write(block)
         out.write("\n")

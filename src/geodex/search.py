@@ -93,7 +93,7 @@ class _Engine:
     """Depth-first generator over one subtree, with undo."""
 
     def __init__(self, params: SearchParams, pruning: str, start: PartialDigraph,
-                 budget: int | None):
+                 budget: int | None, memo: dict | None = None):
         if pruning not in ("full", "basic"):
             raise ValueError(f"unknown pruning mode {pruning!r}")
         self.params = params
@@ -105,6 +105,7 @@ class _Engine:
         self.mult_mode = full and params.diregular
         self.twin_mode = full and params.diregular and params.d == 2 and params.epsilon == 2 and params.k >= 2
         self.budget = budget
+        self.memo = {} if memo is None else memo
         n = self.n
         if start.n != n:
             raise ValueError(f"partial has order {start.n}, params require {n}")
@@ -253,7 +254,7 @@ class _Engine:
         report = verify(g, self.params)
         if not report.ok:
             raise RuntimeError("internal error: generated digraph fails verification")
-        self.results.setdefault(canonical_form(g).data, g)
+        self.results.setdefault(canonical_form(g, self.memo).data, g)
 
     def _dfs(self, hint: int, depth: int) -> None:
         v = self._next_open(hint)
@@ -319,15 +320,16 @@ def prune(partial: PartialDigraph, params: SearchParams, pruning: str = "full") 
 
 
 def split_tasks(params: SearchParams, pruning: str = "full",
-                split_slots: int = SPLIT_SLOTS,
-                budget: int | None = None) -> tuple[list[PartialDigraph], dict]:
+                split_slots: int = SPLIT_SLOTS, budget: int | None = None, *,
+                memo: dict | None = None) -> tuple[list[PartialDigraph], dict]:
     """First stage of a search: expand the seed by split_slots arc decisions.
 
     Returns the surviving partials as independent tasks plus a stats dict
     with nodes, results found below the split depth, and a stopped flag
-    that is set when the node budget ran out.
+    that is set when the node budget ran out.  memo is the canon memo
+    the leaves go through (see canonical_form); by default a fresh one.
     """
-    engine = _Engine(params, pruning, seed_tree(params), budget=budget)
+    engine = _Engine(params, pruning, seed_tree(params), budget=budget, memo=memo)
     engine.run(split_at=split_slots)
     stats = {
         "nodes": engine.nodes,
@@ -338,19 +340,28 @@ def split_tasks(params: SearchParams, pruning: str = "full",
 
 
 def run_task(params: SearchParams, task: PartialDigraph, pruning: str = "full",
-             budget: int | None = None) -> tuple[dict[bytes, Digraph], int, bool]:
+             budget: int | None = None, *,
+             memo: dict | None = None) -> tuple[dict[bytes, Digraph], int, bool]:
     """Exhaust one search subtree; returns (results, nodes, stopped).
 
     stopped is set when the node budget ran out before the subtree did.
+    memo is as for split_tasks.
     """
-    engine = _Engine(params, pruning, task, budget=budget)
+    engine = _Engine(params, pruning, task, budget=budget, memo=memo)
     engine.run()
     return dict(engine.results), engine.nodes, engine.stopped
 
 
-def _worker(payload) -> tuple[list[tuple[bytes, Digraph]], int, bool]:
+# The canon memo a pool worker's tasks share.  A worker starts with it
+# empty (search() leaves this process's copy empty) and ends with the
+# pool, so it lives for one search() call.
+_pool_memo: dict = {}
+
+
+def _worker(payload, memo: dict | None = None) -> tuple[list[tuple[bytes, Digraph]], int, bool]:
     params, pruning, task, budget = payload
-    results, nodes, stopped = run_task(params, task, pruning, budget)
+    results, nodes, stopped = run_task(params, task, pruning, budget,
+                                       memo=_pool_memo if memo is None else memo)
     return sorted(results.items()), nodes, stopped
 
 
@@ -376,8 +387,10 @@ class Checkpoint:
                 tasks: list[PartialDigraph]) -> dict[int, tuple[list, int]]:
         """Read and check the whole file; returns (results, nodes) by task index.
 
-        Call it before save and flush.  A missing file is a fresh start.  A
-        fault raises ValueError and leaves the file as it was.
+        Call it before save and flush.  A missing file is a fresh start,
+        written at once, so that a path that cannot be written fails before
+        any task runs.  A fault raises ValueError and leaves the file as it
+        was.
         """
         shape = json.dumps([task.out for task in tasks]).encode()
         self.total = len(tasks)
@@ -389,6 +402,10 @@ class Checkpoint:
             with open(self.path, "r", encoding="utf-8") as fh:
                 saved = json.load(fh)
         except FileNotFoundError:
+            try:
+                self.flush()
+            except OSError as exc:
+                raise self._bad(f"cannot write it: {exc}") from None
             return {}
         except (OSError, ValueError) as exc:
             raise self._bad(f"cannot read it: {exc}") from None
@@ -448,11 +465,13 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
     discarded and ends the run, as does reaching params.max_results
     classes.  A checkpoint restores finished tasks, which cost no budget,
     and saves each accepted task as it lands.  So the outcome is identical
-    for any jobs, with or without a checkpoint.
+    for any jobs, with or without a checkpoint.  The leaves of one call
+    share a canon memo in each process, which ends with the call.
     """
     if jobs < 1:
         raise ValueError(f"worker count must be at least 1, got {jobs}")
-    tasks, stats = split_tasks(params, pruning, split_slots)
+    memo: dict = {}
+    tasks, stats = split_tasks(params, pruning, split_slots, memo=memo)
     restored = checkpoint.restore(params, pruning, split_slots, tasks) if checkpoint else {}
     pending = [i for i in range(len(tasks)) if i not in restored]
     merged: dict[bytes, Digraph] = dict(stats["results"])
@@ -470,7 +489,7 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
         # A pool task gets the budget left after the split, a serial one the
         # budget left when it starts; the acceptance check makes them agree.
         outcomes = (pool.imap(_worker, [payload(i) for i in pending]) if use_pool
-                    else (_worker(payload(i)) for i in pending))
+                    else (_worker(payload(i), memo) for i in pending))
         for idx in range(len(tasks)):
             if params.max_results is not None and len(merged) >= params.max_results:
                 break
@@ -490,6 +509,7 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
                 merged.setdefault(data, g)
         else:
             complete = True
+    _pool_memo.clear()  # filled here only by a pool that runs in this process
     if checkpoint:
         checkpoint.flush(exhausted)
     ordered = sorted(merged.items())

@@ -102,6 +102,104 @@ def automorphisms_oracle(g: Digraph) -> list[tuple[int, ...]]:
     return found
 
 
+def _tree_refine(g: Digraph, cells: list[list[int]]) -> list[list[int]]:
+    # split cells by (out-degree, in-degree, out-colour multiset, in-colour
+    # multiset) until no cell splits; cell order is preserved, new cells are
+    # ordered by signature
+    n = g.n
+    while True:
+        colour = [0] * n
+        for ci, cell in enumerate(cells):
+            for v in cell:
+                colour[v] = ci
+        new_cells: list[list[int]] = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups: dict[tuple, list[int]] = {}
+            for v in cell:
+                osig = sorted(colour[w] for w in g.out[v])
+                isig = sorted(colour[w] for w in g.in_lists[v])
+                sig = (len(osig), len(isig), tuple(osig), tuple(isig))
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for sig in sorted(groups):
+                    new_cells.append(sorted(groups[sig]))
+        if not changed:
+            return new_cells
+        cells = new_cells
+
+
+def _tree_target_cell(cells: list[list[int]]) -> int | None:
+    # lowest-indexed largest non-singleton cell
+    best = None
+    best_size = 1
+    for ci, cell in enumerate(cells):
+        if len(cell) > best_size:
+            best = ci
+            best_size = len(cell)
+    return best
+
+
+def _tree_rows_for(g: Digraph, lab: list[int]) -> tuple[int, ...]:
+    # adjacency of the relabeled digraph, one integer per new row, bit
+    # n-1-j set when new vertex i has an arc to new vertex j
+    n = g.n
+    rows = [0] * n
+    for v in range(n):
+        r = 0
+        for w in g.out[v]:
+            r |= 1 << (n - 1 - lab[w])
+        rows[lab[v]] = r
+    return tuple(rows)
+
+
+def canon_tree_oracle(g: Digraph) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Minimal adjacency rows over all discrete refinements, with every
+    labeling that attains them.
+
+    The canonical walk as it was before automorphism pruning: it visits
+    every leaf of the individualisation tree, so it is factorial on
+    symmetric digraphs.  Pack the rows for the form bytes; the first
+    labeling is the canonical relabelling, and the tied labelings differ
+    from it by exactly the automorphisms.
+    """
+    n = g.n
+    best_rows: tuple[int, ...] | None = None
+    best_labs: list[list[int]] = []
+
+    def walk(cells: list[list[int]]) -> None:
+        nonlocal best_rows, best_labs
+        cells = _tree_refine(g, cells)
+        target = _tree_target_cell(cells)
+        if target is None:
+            lab = [0] * n
+            for pos, cell in enumerate(cells):
+                lab[cell[0]] = pos
+            rows = _tree_rows_for(g, lab)
+            if best_rows is None or rows < best_rows:
+                best_rows = rows
+                best_labs = [lab]
+            elif rows == best_rows:
+                best_labs.append(lab)
+            return
+        cell = cells[target]
+        for v in cell:
+            child = cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1 :]
+            walk(child)
+
+    if n == 0:
+        return (), [[]]
+    walk([list(range(n))])
+    assert best_rows is not None
+    return best_rows, best_labs
+
+
 def twin_pairs_oracle(g: Digraph) -> list[tuple[int, int]]:
     """All pairs u < v with identical out-neighbour sets, by direct comparison."""
     return [
@@ -182,3 +280,17 @@ def shuffled(rng, g: Digraph) -> Digraph:
     for v in range(g.n):
         out[perm[v]] = tuple(perm[w] for w in g.out[v])
     return Digraph(g.n, out)
+
+
+def first_path_levels(g: Digraph) -> int:
+    """Nodes on the first root-to-leaf path of the unpruned walk, leaf included."""
+    cells = [list(range(g.n))]
+    levels = 0
+    while True:
+        cells = _tree_refine(g, cells)
+        levels += 1
+        target = _tree_target_cell(cells)
+        if target is None:
+            return levels
+        cell = cells[target]
+        cells = cells[:target] + [[cell[0]], cell[1:]] + cells[target + 1 :]

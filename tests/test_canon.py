@@ -1,8 +1,10 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geodex.canon as canon_module
 from geodex import (
     Digraph,
     are_isomorphic,
@@ -10,8 +12,15 @@ from geodex import (
     canonical_form,
     canonical_relabelling,
 )
-from oracles import automorphisms_oracle, iso_oracle, shuffled
-from strategies import digraphs
+from geodex.canon import OrbitPartition
+from oracles import (
+    automorphisms_oracle,
+    canon_tree_oracle,
+    first_path_levels,
+    iso_oracle,
+    shuffled,
+)
+from strategies import digraphs, symmetric_digraphs
 
 THREE_CYCLE = Digraph(3, [(1,), (2,), (0,)])
 
@@ -173,3 +182,156 @@ class TestAutomorphismOrbits:
                     if ids[u] == ids[v]:
                         assert g.out_degree(u) == g.out_degree(v)
                         assert g.in_degree(u) == g.in_degree(v)
+
+
+def unpruned_walk(g):
+    """Form bytes, canonical relabelling and orbits from the unpruned walk."""
+    rows, labs = canon_tree_oracle(g)
+    n = g.n
+    bits = 0
+    for r in rows:
+        bits = bits << n | r
+    nbytes = (n * n + 7) // 8
+    data = n.to_bytes(4, "big") + (bits << nbytes * 8 - n * n).to_bytes(nbytes, "big")
+    # each tied labeling sends the vertex at a position of the first one to
+    # the vertex at the same position of its own
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    inv_base = {pos: v for v, pos in enumerate(labs[0])}
+    for lab in labs[1:]:
+        for v in range(n):
+            parent[find(v)] = find(inv_base[lab[v]])
+    ids = {}
+    orbit_id = tuple(ids.setdefault(find(v), len(ids)) for v in range(n))
+    return data, labs[0], OrbitPartition(orbit_id=orbit_id, orbit_count=len(ids))
+
+
+def decode(data):
+    """The digraph whose adjacency matrix a form (or a leaf's bytes) packs."""
+    n = int.from_bytes(data[:4], "big")
+    bits = int.from_bytes(data[4:], "big") >> (len(data) - 4) * 8 - n * n
+    return Digraph(n, [[j for j in range(n) if bits >> (n - 1 - i) * n + n - 1 - j & 1]
+                       for i in range(n)])
+
+
+def z4_squared_cayley(steps):
+    """Cayley graph of Z4 x Z4 whose arcs add each of steps."""
+    return Digraph(16, [[(a + da) % 4 * 4 + (b + db) % 4 for da, db in steps]
+                        for a in range(4) for b in range(4)])
+
+
+# Both strongly regular with parameters (16,6,2,2), so refinement cannot tell
+# their vertices apart; after one vertex is individualised, a cell of 9
+# remains that the Shrikhande graph's stabiliser splits into two orbits.
+SHRIKHANDE = z4_squared_cayley([(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)])
+ROOK_4X4 = z4_squared_cayley([(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)])
+# Also 6-regular, so at the root no refinement separates the two parts;
+# its automorphism group is Aut(Shrikhande) x S7, with the parts as orbits.
+SHRIKHANDE_AND_K7 = Digraph(23, list(SHRIKHANDE.out) + [
+    [w for w in range(16, 23) if w != v] for v in range(16, 23)])
+
+
+class TestPrunedWalk:
+    """The automorphism-pruned walk against the walk over every leaf."""
+
+    def check(self, g):
+        data, lab, orbits = unpruned_walk(g)
+        assert canonical_form(g).data == data
+        assert canonical_relabelling(g) == lab
+        assert automorphism_orbits(g) == orbits
+
+    @given(digraphs(max_n=7, loops=True))
+    @settings(max_examples=200, deadline=None)
+    def test_random_digraphs(self, g):
+        self.check(g)
+
+    @given(symmetric_digraphs(max_n=6))
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric_digraphs(self, g):
+        self.check(g)
+
+    def test_catalogs(self, cat_a, cat_b):
+        self.check(cat_a)
+        self.check(cat_b)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_strongly_regular_graphs(self, seed):
+        rng = random.Random(seed)
+        self.check(shuffled(rng, SHRIKHANDE))
+        self.check(shuffled(rng, ROOK_4X4))
+        # too large for the unpruned walk, so checked by invariance
+        h = shuffled(rng, SHRIKHANDE_AND_K7)
+        form = canonical_form(SHRIKHANDE_AND_K7)
+        assert canonical_form(h) == form
+        assert canonical_form(apply_perm(h, canonical_relabelling(h))) == form
+        assert automorphism_orbits(h).orbit_count == 2
+
+    def test_edgeless_order_12_is_fast_and_transitive(self):
+        # the unpruned walk visits all 12! leaves
+        g = Digraph(12, [()] * 12)
+        assert canonical_form(g).data == (12).to_bytes(4, "big") + bytes(18)
+        assert automorphism_orbits(g).orbit_count == 1
+
+
+def refine_calls(fn):
+    """fn() and the number of _refine calls it made."""
+    calls = []
+    real = canon_module._refine
+
+    def counting(g, cells):
+        calls.append(1)
+        return real(g, cells)
+
+    with mock.patch.object(canon_module, "_refine", counting):
+        result = fn()
+    return result, len(calls)
+
+
+class TestMemo:
+    @given(st.lists(st.one_of(digraphs(max_n=6, loops=True), symmetric_digraphs(max_n=6)),
+                    min_size=1, max_size=5),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_one_memo_gives_every_digraph_its_form(self, gs, rng):
+        batch = gs + [shuffled(rng, g) for g in gs for _ in range(3)]
+        rng.shuffle(batch)
+        memo = {}
+        merged = {}
+        for h in batch:
+            form = canonical_form(h, memo)
+            assert form == canonical_form(h)
+            merged.setdefault(form, []).append(h)
+        for group in merged.values():
+            assert all(iso_oracle(group[0], h) for h in group[1:])
+        # every key is a relabelled copy of a digraph filed under its form
+        for key, form in memo.items():
+            assert canonical_form(decode(key)) == form
+
+    @given(st.one_of(digraphs(max_n=7, loops=True), symmetric_digraphs(max_n=6)),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_a_hit_walks_one_path(self, g, rng):
+        memo = {}
+        form = canonical_form(g, memo)
+        hits = 0
+        for h in [g] + [shuffled(rng, g) for _ in range(4)]:
+            size = len(memo)
+            got, calls = refine_calls(lambda: canonical_form(h, memo))
+            assert got == form
+            if len(memo) == size:  # a miss stores at least its first leaf
+                hits += 1
+                assert calls <= first_path_levels(h)
+        assert hits >= 1  # g's own first leaf is always stored
+
+    def test_catalogs_and_their_copies_through_one_memo(self, cat_a, cat_b):
+        rng = random.Random(4)
+        memo = {}
+        for h in [cat_a, cat_b] + [shuffled(rng, g) for g in (cat_a, cat_b) for _ in range(5)]:
+            assert canonical_form(h, memo) == canonical_form(h)
+        for key, form in memo.items():
+            assert canonical_form(decode(key)) == form

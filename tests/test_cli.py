@@ -358,6 +358,64 @@ class TestMalformedCheckpoint:
         assert cp.read_text() == text
 
 
+class TestWriteFailures:
+    """A path that cannot be written exits 2 with one error line."""
+
+    def test_census_emit_to_missing_directory(self, b_path, tmp_path):
+        target = tmp_path / "missing" / "census.json"
+        code, out, err = invoke("census", b_path, "--emit", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_search_emit_fails_before_the_search(self, tmp_path, monkeypatch, where):
+        import geodex.cli
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(geodex.cli, "search", no_search)
+        target = tmp_path / "missing" / "out.dg" if where == "missing-directory" else tmp_path
+        code, out, err = invoke(*SEARCH_222, "--emit", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+    def test_search_emit_file_kept_when_the_search_fails(self, tmp_path):
+        target, cp = tmp_path / "out.dg", tmp_path / "cp.json"
+        target.write_text("n 1\n")
+        cp.write_text("not json\n")
+        code, _, err = invoke(*SEARCH_222, "--emit", str(target), "--checkpoint", str(cp))
+        assert code == 2 and err.startswith(f"error: checkpoint {cp}: ")
+        assert target.read_text() == "n 1\n"
+
+    def test_search_emit_replaces_an_existing_file(self, tmp_path):
+        target = tmp_path / "out.dg"
+        target.write_text("n 1\n" * 100)
+        invoke("search", "--d", "2", "--k", "1", "--excess", "0", "--diregular",
+               "--emit", str(target))
+        assert target.read_text() == "n 3\n0: 1 2\n1: 0 2\n2: 0 1\n"
+
+    def test_search_checkpoint_in_missing_directory_fails_before_any_task(self, tmp_path,
+                                                                           monkeypatch):
+        import importlib
+
+        def no_task(*args, **kwargs):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(importlib.import_module("geodex.search"), "run_task", no_task)
+        cp = tmp_path / "missing" / "cp.json"
+        code, out, err = invoke(*SEARCH_222, "--checkpoint", str(cp))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: checkpoint {cp}: cannot write it: ")
+        assert err.count("\n") == 1
+
+    def test_fresh_checkpoint_is_written_before_any_task(self, tmp_path):
+        cp = tmp_path / "cp.json"
+        code, out, _ = invoke(*SEARCH_222, "--budget", "0", "--checkpoint", str(cp))
+        assert code == 1 and "complete=false" in out
+        assert json.loads(cp.read_text())["done"] == {}
+
+
 class TestCayleyA4:
     def test_witnesses(self):
         code, out, _ = invoke("cayley-a4", "--k", "2", "--excess", "5")
@@ -395,6 +453,20 @@ class TestProcessLevel:
         ]
         assert runs[0].returncode == runs[1].returncode == 0
         assert runs[0].stdout == runs[1].stdout
+
+    def test_edgeless_order_12_canon_and_iso_are_fast(self, tmp_path):
+        # the individualisation tree has 12! leaves; automorphism pruning
+        # walks about 12 paths
+        a, b = tmp_path / "a.dg", tmp_path / "b.dg"
+        a.write_text("n 12\n")
+        b.write_text("# twelve isolated vertices\nn 12\n")
+        canon = subprocess.run([sys.executable, "-m", "geodex", "canon", str(a)],
+                               capture_output=True, text=True, timeout=10)
+        assert canon.returncode == 0
+        assert canon.stdout == ((12).to_bytes(4, "big") + bytes(18)).hex() + "\n"
+        iso = subprocess.run([sys.executable, "-m", "geodex", "iso", str(a), str(b)],
+                             capture_output=True, text=True, timeout=10)
+        assert (iso.returncode, iso.stdout) == (0, "isomorphic\n")
 
     def test_module_entry_point(self):
         r = subprocess.run([sys.executable, "-m", "geodex", "moore", "2", "2"],

@@ -176,6 +176,37 @@ class TestDeterminism:
             assert out.complete
 
 
+class TestCanonMemo:
+    def test_each_search_starts_with_an_empty_memo(self, monkeypatch):
+        import importlib
+
+        engine = importlib.import_module("geodex.search")
+        real = engine.canonical_form
+        memos = []
+
+        def recording(g, memo=None):
+            memos.append((memo, len(memo)))
+            return real(g, memo)
+
+        monkeypatch.setattr(engine, "canonical_form", recording)
+        runs = []
+        for _ in range(2):
+            memos.clear()
+            assert len(search(P222).results) == 2
+            runs.append(list(memos))
+        for calls in runs:
+            assert len(calls) == 56
+            assert calls[0][1] == 0
+            assert all(memo is calls[0][0] for memo, _ in calls)  # one memo per call
+        assert runs[1][0][0] is not runs[0][0][0]
+
+    def test_jobs_1_and_2_identical_on_a_leaf_rich_search(self):
+        params = SearchParams(d=2, k=2, epsilon=3, diregular=True)
+        serial, pooled = search(params, jobs=1), search(params, jobs=2)
+        assert serial == pooled
+        assert (len(serial.results), serial.nodes_explored) == (7, 39559)
+
+
 class TestBudgets:
     def test_budget_marks_incomplete(self):
         full = search(P222).nodes_explored
