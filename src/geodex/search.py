@@ -16,11 +16,9 @@ v gains w's ball of radius k-1-t, which must not meet its stored ball.
 So each arc costs one backward scan from v, one scan of w's balls and
 one AND per source, and the stored balls grow (and are undone on
 backtrack) by exactly those new ends.  Whenever an out-list fills,
-the diregular modes additionally run global cuts on the stored balls: a
-vertex locked out of three or more finished k-balls in excess-2 mode
-(more generally, more than epsilon), and the twin consequences for
-identical out-neighbourhood pairs in the degree-2 excess-2 mode.  All
-cuts are sound: they only fire on partials no valid completion can
+full pruning in diregular mode additionally runs one global cut on the
+stored balls: a vertex shut out of more than epsilon finished k-balls.
+All cuts are sound: they only fire on partials no valid completion can
 extend.
 """
 
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from .canon import CanonicalForm, canonical_form
-from .catalog import read_digraph, write_digraph
+from .catalog import MAX_ORDER, read_digraph, write_digraph
 from .core import Digraph, SearchParams, moore_bound, verify
 from .reach import geodetic_ball, geodetic_balls, layers
 
@@ -79,10 +77,12 @@ def seed_tree(params: SearchParams) -> PartialDigraph:
 
     Vertices 0..moore_bound(d, k-1)-1 get full out-lists (vertex i feeds
     d*i+1 .. d*i+d); the depth-k layer and the epsilon extra vertices
-    stay open.
+    stay open.  An order above catalog.MAX_ORDER raises ValueError.
     """
     d, k = params.d, params.k
     n = params.order
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the limit of {MAX_ORDER}")
     internal = moore_bound(d, k - 1)
     out = tuple(tuple(range(d * v + 1, d * v + d + 1)) if v < internal else ()
                 for v in range(n))
@@ -101,9 +101,7 @@ class _Engine:
         self.d = params.d
         self.k = params.k
         self.diregular = params.diregular
-        full = pruning == "full"
-        self.mult_mode = full and params.diregular
-        self.twin_mode = full and params.diregular and params.d == 2 and params.epsilon == 2 and params.k >= 2
+        self.mult_mode = pruning == "full" and params.diregular
         self.budget = budget
         self.memo = {} if memo is None else memo
         n = self.n
@@ -151,9 +149,7 @@ class _Engine:
             return False
         if not all(self.balls):
             return False
-        if self.mult_mode or self.twin_mode:
-            return self._global_cuts()
-        return True
+        return not self.mult_mode or self._global_cuts()
 
     def _check_after(self, v: int, w: int) -> list[tuple[int, int]] | None:
         """Test the walks through the new arc v -> w; None means cut.
@@ -185,7 +181,7 @@ class _Engine:
                     return None
                 undo.append((s, old))
                 balls[s] = old | new
-        if (self.mult_mode or self.twin_mode) and len(self.out[v]) == self.d:
+        if self.mult_mode and len(self.out[v]) == self.d:
             if not self._global_cuts():
                 for s, old in undo:
                     balls[s] = old
@@ -193,52 +189,28 @@ class _Engine:
         return undo
 
     def _global_cuts(self) -> bool:
-        n, k, d = self.n, self.k, self.d
-        out, accs = self.out, self.balls
-        full = (1 << n) - 1
-        # a ball without duplicate walks is final (it cannot grow further)
-        # exactly when it is full size: every vertex within k-1 steps then
-        # has its whole out-list
-        moore = moore_bound(d, k)
-        final = [acc.bit_count() == moore for acc in accs]
-        if self.mult_mode:
-            # a finished ball pins its outliers for every completion
-            eps = self.params.epsilon
-            mult = [0] * n
-            for u in range(n):
-                if final[u]:
-                    c = full & ~accs[u]
-                    while c:
-                        b = c & -c
-                        c ^= b
-                        x = b.bit_length() - 1
-                        mult[x] += 1
-                        if mult[x] > eps:
-                            return False
-        if self.twin_mode:
-            groups: dict[int, list[int]] = {}
-            for u in range(n):
-                if len(out[u]) == d:
-                    groups.setdefault(self.out_mask[u], []).append(u)
-            for mask, twins in groups.items():
-                if len(twins) < 2:
-                    continue
-                lo = mask & -mask
-                a = lo.bit_length() - 1
-                b = (mask ^ lo).bit_length() - 1
-                # the shared out-neighbours must never reach one another
-                if accs[a] >> b & 1 or accs[b] >> a & 1:
+        """False when a vertex is an outlier of more than epsilon finished balls.
+
+        A finished ball pins its outliers for every completion.  A ball
+        without duplicate walks is finished (it cannot grow further)
+        exactly when it is full size: every vertex within k-1 steps then
+        has its whole out-list.
+        """
+        n, eps = self.n, self.params.epsilon
+        moore = moore_bound(self.d, self.k)
+        everyone = (1 << n) - 1
+        mult = [0] * n
+        for acc in self.balls:
+            if acc.bit_count() != moore:
+                continue
+            c = everyone & ~acc
+            while c:
+                b = c & -c
+                c ^= b
+                x = b.bit_length() - 1
+                mult[x] += 1
+                if mult[x] > eps:
                     return False
-                for i in range(len(twins)):
-                    for j in range(i + 1, len(twins)):
-                        p, q = twins[i], twins[j]
-                        if final[p] and final[q]:
-                            op = full & ~accs[p]
-                            oq = full & ~accs[q]
-                            if not op >> q & 1 or not oq >> p & 1:
-                                return False
-                            if op & ~(1 << q) != oq & ~(1 << p):
-                                return False
         return True
 
     # ---- generation ----
@@ -310,10 +282,9 @@ def prune(partial: PartialDigraph, params: SearchParams, pruning: str = "full") 
     """Decide whether a partial digraph can be discarded; True means cut.
 
     Cuts fire on: a duplicate walk or closed walk of length <= k among the
-    decided arcs, an in-degree above d in diregular mode, a vertex shut
-    out of more than epsilon finished k-balls in diregular mode, and twin
-    consequence violations in the degree-2 excess-2 diregular mode.  A cut
-    partial has no completion that verifies.
+    decided arcs, an in-degree above d in diregular mode, and, with full
+    pruning in diregular mode, a vertex shut out of more than epsilon
+    finished k-balls.  A cut partial has no completion that verifies.
     """
     engine = _Engine(params, pruning, partial, budget=None)
     return not engine.check_state()
@@ -389,8 +360,9 @@ class Checkpoint:
 
         Call it before save and flush.  A missing file is a fresh start,
         written at once, so that a path that cannot be written fails before
-        any task runs.  A fault raises ValueError and leaves the file as it
-        was.
+        any task runs.  Every restored result must verify and be stored
+        under its own canonical form.  A fault raises ValueError and leaves
+        the file as it was.
         """
         shape = json.dumps([task.out for task in tasks]).encode()
         self.total = len(tasks)
@@ -428,6 +400,11 @@ class Checkpoint:
                          for form, text in record["results"].items()]
             except ValueError as exc:
                 raise self._bad(f"task {name}: {exc}") from None
+            for data, g in items:
+                if not verify(g, params).ok:
+                    raise self._bad(f"task {name}: result {data.hex()} does not verify")
+                if canonical_form(g).data != data:
+                    raise self._bad(f"task {name}: result {data.hex()} is not its digraph's canonical form")
             restored[int(name)] = items, record["nodes"]
         self.done = saved["done"]
         print(f"resuming: {len(self.done)} tasks already finished", file=self.log)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from geodex import canonical_form, read_digraph, write_digraph
+from geodex import Digraph, canonical_form, catalog_a, catalog_b, read_digraph, write_digraph
 from geodex.catalog import MAX_ORDER
 from geodex.cli import run
 
@@ -230,6 +230,14 @@ class TestSearch:
         assert code == 2
         assert "--long-run" in err
 
+    def test_order_above_limit_refused_at_once(self):
+        # order 2**41 + 1 passes the --long-run gate but not the order limit
+        r = subprocess.run([sys.executable, "-m", "geodex", "search", "--d", "2", "--k", "40",
+                            "--excess", "2", "--diregular", "--long-run"],
+                           capture_output=True, text=True, timeout=10)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == f"error: order {2 ** 41 + 1} exceeds the limit of {MAX_ORDER}\n"
+
     def test_emit_file(self, tmp_path):
         target = tmp_path / "results.dg"
         invoke("search", "--d", "2", "--k", "1", "--excess", "0", "--diregular",
@@ -338,6 +346,15 @@ class TestCheckpointBudgetAndJobs:
         assert json.loads(cp.read_text()) == doc
 
 
+def _injected(g, form):
+    """A damage that records g under form as task 0's only result."""
+    return _edited(lambda doc: doc["done"]["0"].update(results={form.hex(): write_digraph(g)}))
+
+
+# i -> i+1, i+2 (mod 9): 2-diregular of order 9, but 0->1->2 and 0->2 meet
+_CIRCULANT = Digraph(9, [((i + 1) % 9, (i + 2) % 9) for i in range(9)])
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("damage", [
         lambda text: json.dumps([json.loads(text)]),
@@ -345,8 +362,11 @@ class TestMalformedCheckpoint:
         _edited(lambda doc: doc["done"]["0"].pop("nodes")),
         _edited(lambda doc: doc["done"].update({"30": {"nodes": 0, "results": {}}})),
         _edited(lambda doc: doc["done"]["0"].update(results={"not-hex": "n 9\n"})),
+        _injected(Digraph(1, [()]), b"\0"),
+        _injected(catalog_a().digraph, canonical_form(catalog_b().digraph).data),
+        _injected(_CIRCULANT, canonical_form(_CIRCULANT).data),
     ], ids=["json-list", "truncated", "record-without-nodes", "index-out-of-range",
-            "non-hex-form"])
+            "non-hex-form", "order-1-result", "class-under-wrong-form", "non-geodetic-result"])
     def test_exits_2_before_any_task_runs(self, tmp_path, damage):
         cp = tmp_path / "cp.json"
         assert invoke(*SEARCH_222, "--budget", "1500", "--checkpoint", str(cp))[0] == 1

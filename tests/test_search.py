@@ -17,9 +17,10 @@ from geodex import (
     split_tasks,
     verify,
 )
+from geodex.catalog import MAX_ORDER
 from geodex.reach import geodetic_ball
 from geodex.search import _Engine
-from oracles import naive_diregular_search
+from oracles import bfs_distances, naive_diregular_search
 
 P222 = SearchParams(d=2, k=2, epsilon=2, diregular=True)
 
@@ -34,6 +35,12 @@ class TestSeedTree:
     def test_path_seed_for_degree_one(self):
         s = seed_tree(SearchParams(d=1, k=3, epsilon=0, diregular=True))
         assert s.out == ((1,), (2,), (3,), ())
+
+    def test_order_limit(self):
+        # moore_bound(2, 11) = 4095
+        assert seed_tree(SearchParams(d=2, k=11, epsilon=1)).n == MAX_ORDER
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            seed_tree(SearchParams(d=2, k=11, epsilon=2))
 
     def test_2_3_tree_with_two_spare_vertices(self):
         s = seed_tree(SearchParams(d=2, k=3, epsilon=2, diregular=True))
@@ -369,11 +376,13 @@ class _AuditedEngine(_Engine):
 
 
 @st.composite
-def geodetic_partials(draw):
-    """A search's parameters and a partial on its seed tree that basic pruning keeps."""
-    d, k, eps, diregular = draw(st.sampled_from([
-        (2, 2, 2, True), (2, 2, 2, False), (2, 2, 3, True), (2, 3, 2, True), (3, 2, 1, True),
-    ]))
+def geodetic_partials(draw, cases=((2, 2, 2, True), (2, 2, 2, False), (2, 2, 3, True),
+                                   (2, 3, 2, True), (3, 2, 1, True))):
+    """A search's parameters and a partial on its seed tree that basic pruning keeps.
+
+    cases lists the (d, k, epsilon, diregular) to draw from.
+    """
+    d, k, eps, diregular = draw(st.sampled_from(cases))
     params = SearchParams(d=d, k=k, epsilon=eps, diregular=diregular)
     out = [list(row) for row in seed_tree(params).out]
     n = params.order
@@ -415,3 +424,80 @@ class TestIncrementalCheck:
         assert engine.nodes == 3724
         assert len(engine.results) == 2
         assert engine.balls == engine._fresh_balls()
+
+
+def _twin_violations(g, k):
+    """The twin lemma's conditions that fail on g, from BFS distances alone.
+
+    For u != v with the same full out-list {a, b}: a and b must not reach
+    each other within k steps, and when u's and v's k-balls are finished
+    (every vertex within k-1 steps has its whole out-list) each is an
+    outlier of the other and their outlier sets agree apart from u and v.
+    """
+    n = g.n
+    dist = [bfs_distances(g, u) for u in range(n)]
+    outliers = [{x for x in range(n) if dist[u].get(x, k + 1) > k} for u in range(n)]
+    finished = [all(len(g.out[x]) == 2 for x, t in dist[u].items() if t < k) for u in range(n)]
+    failed, pairs = [], 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if len(g.out[u]) != 2 or g.out[u] != g.out[v]:
+                continue
+            a, b = g.out[u]
+            if dist[a].get(b, k + 1) <= k or dist[b].get(a, k + 1) <= k:
+                failed.append(("shared out-neighbours meet", u, v))
+            if finished[u] and finished[v]:
+                pairs += 1
+                if v not in outliers[u] or u not in outliers[v]:
+                    failed.append(("twins not outliers of each other", u, v))
+                if outliers[u] - {v} != outliers[v] - {u}:
+                    failed.append(("outlier sets differ", u, v))
+    return failed, pairs
+
+
+class _TwinAuditEngine(_Engine):
+    """The engine with the twin lemma checked on every partial it keeps."""
+
+    def __init__(self, params, pruning, start, budget):
+        super().__init__(params, pruning, start, budget)
+        self.kept = self.pairs = 0
+
+    def _audit(self):
+        g = Digraph(self.n, self.out)
+        failed, pairs = _twin_violations(g, self.k)
+        assert failed == [], (g.out, failed)
+        self.kept += 1
+        self.pairs += pairs
+
+    def check_state(self):
+        kept = super().check_state()
+        if kept:
+            self._audit()
+        return kept
+
+    def _check_after(self, v, w):
+        undo = super()._check_after(v, w)
+        if undo is not None:
+            self._audit()
+        return undo
+
+
+class TestTwinLemmaHolds:
+    # the engine has no twin cut: on a k-geodetic partial the lemma holds
+    # by itself, and these tests check that it does on every kept partial
+
+    @given(geodetic_partials(cases=((2, 2, 2, True), (2, 3, 2, True))),
+           st.sampled_from(["basic", "full"]))
+    @settings(max_examples=100, deadline=None)
+    def test_on_random_partials(self, case, pruning):
+        params, partial = case
+        engine = _TwinAuditEngine(params, pruning, partial, budget=150)
+        engine.run()
+
+    @pytest.mark.parametrize("pruning,nodes", [("full", 3724), ("basic", 3960)])
+    def test_whole_search(self, pruning, nodes):
+        engine = _TwinAuditEngine(P222, pruning, seed_tree(P222), budget=None)
+        engine.run()
+        assert engine.nodes == nodes
+        assert len(engine.results) == 2
+        assert engine.kept > 1000 and engine.pairs > 100  # the conditions were tested
