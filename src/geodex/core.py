@@ -19,13 +19,13 @@ from .reach import geodetic_ball, layers, reach
 def moore_bound(d: int, k: int) -> int:
     """Sum of d**i for i in 0..k, the Moore bound for out-degree d and depth k.
 
-    Exact integer arithmetic, no truncation at any size.
+    Exact integer arithmetic in closed form, so one power at any size.
     """
     if d < 1:
         raise ValueError(f"degree must be at least 1, got {d}")
     if k < 0:
         raise ValueError(f"depth must be non-negative, got {k}")
-    return sum(d ** i for i in range(k + 1))
+    return k + 1 if d == 1 else (d ** (k + 1) - 1) // (d - 1)
 
 
 class Digraph:

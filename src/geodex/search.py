@@ -24,10 +24,9 @@ extend.
 
 from __future__ import annotations
 
-import contextlib
+import concurrent.futures
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
@@ -40,17 +39,6 @@ from .reach import geodetic_ball, geodetic_balls, layers
 
 SPLIT_SLOTS = 4
 CHECKPOINT_VERSION = 2
-
-
-@dataclass(frozen=True)
-class PartialDigraph:
-    """Snapshot of a partially decided digraph.
-
-    out holds the decided prefix of each out-list.
-    """
-
-    n: int
-    out: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -72,9 +60,10 @@ class SearchOutcome:
     complete: bool
 
 
-def seed_tree(params: SearchParams) -> PartialDigraph:
+def seed_tree(params: SearchParams) -> Digraph:
     """Forced breadth-first out-tree of vertex 0 for an order-n search.
 
+    A partial digraph is a Digraph whose out-lists need not be full.
     Vertices 0..moore_bound(d, k-1)-1 get full out-lists (vertex i feeds
     d*i+1 .. d*i+d); the depth-k layer and the epsilon extra vertices
     stay open.  An order above catalog.MAX_ORDER raises ValueError.
@@ -84,15 +73,20 @@ def seed_tree(params: SearchParams) -> PartialDigraph:
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds the limit of {MAX_ORDER}")
     internal = moore_bound(d, k - 1)
-    out = tuple(tuple(range(d * v + 1, d * v + d + 1)) if v < internal else ()
-                for v in range(n))
-    return PartialDigraph(n=n, out=out)
+    return Digraph(n, [range(d * v + 1, d * v + d + 1) if v < internal else ()
+                       for v in range(n)])
 
 
 class _Engine:
-    """Depth-first generator over one subtree, with undo."""
+    """Depth-first generator over one subtree, with undo.
 
-    def __init__(self, params: SearchParams, pruning: str, start: PartialDigraph,
+    The partial digraph is held only as bitsets: out_mask[v] has bit w set
+    for each decided arc v -> w and in_mask[w] bit v.  An out-list is full
+    when its mask has d bits, and since it grows in increasing order its
+    next target is at least the mask's bit_length().
+    """
+
+    def __init__(self, params: SearchParams, pruning: str, start: Digraph,
                  budget: int | None, memo: dict | None = None):
         if pruning not in ("full", "basic"):
             raise ValueError(f"unknown pruning mode {pruning!r}")
@@ -107,33 +101,21 @@ class _Engine:
         n = self.n
         if start.n != n:
             raise ValueError(f"partial has order {start.n}, params require {n}")
-        if len(start.out) != n:
-            raise ValueError(f"partial has {len(start.out)} out-lists, expected {n}")
-        self.out: list[list[int]] = []
         self.out_mask = [0] * n
         self.in_mask = [0] * n
-        self.in_deg = [0] * n
         self.max_used = -1
         for v, targets in enumerate(start.out):
             if len(targets) > self.d:
                 raise ValueError(f"vertex {v} has more than {self.d} out-neighbours")
-            prev = -1
             for w in targets:
-                if not 0 <= w < n:
-                    raise ValueError(f"vertex {v}: out-neighbour {w} out of range")
-                if w <= prev:
-                    raise ValueError(f"vertex {v}: out-list not strictly increasing")
-                prev = w
-                self.in_deg[w] += 1
+                self.out_mask[v] |= 1 << w
                 self.in_mask[w] |= 1 << v
-                self.max_used = max(self.max_used, v, w)
-            self.out.append(list(targets))
             if targets:
-                self.out_mask[v] = sum(1 << w for w in targets)
+                self.max_used = max(self.max_used, v, targets[-1])
         self.nodes = 0
         self.stopped = False
         self.results: dict[bytes, Digraph] = {}
-        self.tasks: list[PartialDigraph] = []
+        self.tasks: list[Digraph] = []
         self.split_at: int | None = None
 
     # ---- state checks ----
@@ -145,7 +127,7 @@ class _Engine:
         per-arc check then keeps up to date.
         """
         self.balls = [geodetic_ball(self.out_mask, u, self.k) for u in range(self.n)]
-        if self.diregular and any(deg > self.d for deg in self.in_deg):
+        if self.diregular and any(m.bit_count() > self.d for m in self.in_mask):
             return False
         if not all(self.balls):
             return False
@@ -181,7 +163,7 @@ class _Engine:
                     return None
                 undo.append((s, old))
                 balls[s] = old | new
-        if self.mult_mode and len(self.out[v]) == self.d:
+        if self.mult_mode and self.out_mask[v].bit_count() == self.d:
             if not self._global_cuts():
                 for s, old in undo:
                     balls[s] = old
@@ -217,12 +199,24 @@ class _Engine:
 
     def _next_open(self, hint: int) -> int | None:
         v = hint
-        while v < self.n and len(self.out[v]) == self.d:
+        while v < self.n and self.out_mask[v].bit_count() == self.d:
             v += 1
         return v if v < self.n else None
 
+    def _rows(self) -> list[list[int]]:
+        """The decided out-lists, decoded from out_mask one set bit at a time."""
+        rows = []
+        for m in self.out_mask:
+            row = []
+            while m:
+                b = m & -m
+                m ^= b
+                row.append(b.bit_length() - 1)
+            rows.append(row)
+        return rows
+
     def _emit(self) -> None:
-        g = Digraph(self.n, [tuple(t) for t in self.out])
+        g = Digraph(self.n, self._rows())
         report = verify(g, self.params)
         if not report.ok:
             raise RuntimeError("internal error: generated digraph fails verification")
@@ -234,26 +228,23 @@ class _Engine:
             self._emit()
             return
         if self.split_at is not None and depth == self.split_at:
-            self.tasks.append(PartialDigraph(self.n, tuple(tuple(t) for t in self.out)))
+            self.tasks.append(Digraph(self.n, self._rows()))
             return
-        out_v = self.out[v]
-        lo = out_v[-1] + 1 if out_v else 0
+        out_mask, in_mask = self.out_mask, self.in_mask
         hi = min(self.n - 1, max(self.max_used, v) + 1)
         d, balls = self.d, self.balls
-        for w in range(lo, hi + 1):
+        for w in range(out_mask[v].bit_length(), hi + 1):
             if w == v:
                 continue
-            if self.diregular and self.in_deg[w] >= d:
+            if self.diregular and in_mask[w].bit_count() >= d:
                 continue
             if self.budget is not None and self.nodes >= self.budget:
                 self.stopped = True
                 return
             self.nodes += 1
             saved_max = self.max_used
-            out_v.append(w)
-            self.out_mask[v] |= 1 << w
-            self.in_deg[w] += 1
-            self.in_mask[w] |= 1 << v
+            out_mask[v] |= 1 << w
+            in_mask[w] |= 1 << v
             if self.max_used < w:
                 self.max_used = w
             if self.max_used < v:
@@ -263,10 +254,8 @@ class _Engine:
                 self._dfs(v, depth + 1)
                 for s, old in undo:
                     balls[s] = old
-            out_v.pop()
-            self.out_mask[v] ^= 1 << w
-            self.in_deg[w] -= 1
-            self.in_mask[w] ^= 1 << v
+            out_mask[v] ^= 1 << w
+            in_mask[w] ^= 1 << v
             self.max_used = saved_max
             if self.stopped:
                 return
@@ -278,7 +267,7 @@ class _Engine:
         self._dfs(0, 0)
 
 
-def prune(partial: PartialDigraph, params: SearchParams, pruning: str = "full") -> bool:
+def prune(partial: Digraph, params: SearchParams, pruning: str = "full") -> bool:
     """Decide whether a partial digraph can be discarded; True means cut.
 
     Cuts fire on: a duplicate walk or closed walk of length <= k among the
@@ -290,18 +279,18 @@ def prune(partial: PartialDigraph, params: SearchParams, pruning: str = "full") 
     return not engine.check_state()
 
 
-def split_tasks(params: SearchParams, pruning: str = "full",
-                split_slots: int = SPLIT_SLOTS, budget: int | None = None, *,
-                memo: dict | None = None) -> tuple[list[PartialDigraph], dict]:
-    """First stage of a search: expand the seed by split_slots arc decisions.
+def split_tasks(params: SearchParams, pruning: str = "full", *,
+                memo: dict | None = None) -> tuple[list[Digraph], dict]:
+    """First stage of a search: expand the seed by SPLIT_SLOTS arc decisions.
 
     Returns the surviving partials as independent tasks plus a stats dict
-    with nodes, results found below the split depth, and a stopped flag
-    that is set when the node budget ran out.  memo is the canon memo
-    the leaves go through (see canonical_form); by default a fresh one.
+    with nodes, results found below the split depth, and a stopped flag,
+    which stays False because the split has no node budget.  memo is the
+    canon memo the leaves go through (see canonical_form); by default a
+    fresh one.
     """
-    engine = _Engine(params, pruning, seed_tree(params), budget=budget, memo=memo)
-    engine.run(split_at=split_slots)
+    engine = _Engine(params, pruning, seed_tree(params), budget=None, memo=memo)
+    engine.run(split_at=SPLIT_SLOTS)
     stats = {
         "nodes": engine.nodes,
         "results": dict(engine.results),
@@ -310,7 +299,7 @@ def split_tasks(params: SearchParams, pruning: str = "full",
     return engine.tasks, stats
 
 
-def run_task(params: SearchParams, task: PartialDigraph, pruning: str = "full",
+def run_task(params: SearchParams, task: Digraph, pruning: str = "full",
              budget: int | None = None, *,
              memo: dict | None = None) -> tuple[dict[bytes, Digraph], int, bool]:
     """Exhaust one search subtree; returns (results, nodes, stopped).
@@ -354,8 +343,8 @@ class Checkpoint:
     def _bad(self, why: str) -> ValueError:
         return ValueError(f"checkpoint {self.path}: {why}")
 
-    def restore(self, params: SearchParams, pruning: str, split_slots: int,
-                tasks: list[PartialDigraph]) -> dict[int, tuple[list, int]]:
+    def restore(self, params: SearchParams, pruning: str,
+                tasks: list[Digraph]) -> dict[int, tuple[list, int]]:
         """Read and check the whole file; returns (results, nodes) by task index.
 
         Call it before save and flush.  A missing file is a fresh start,
@@ -368,7 +357,7 @@ class Checkpoint:
         self.total = len(tasks)
         self.key = {"version": CHECKPOINT_VERSION, "d": params.d, "k": params.k,
                     "excess": params.epsilon, "diregular": params.diregular,
-                    "pruning": pruning, "split_slots": split_slots,
+                    "pruning": pruning, "split_slots": SPLIT_SLOTS,
                     "tasks": hashlib.sha256(shape).hexdigest()}
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
@@ -430,7 +419,7 @@ class Checkpoint:
 
 
 def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
-           split_slots: int = SPLIT_SLOTS, checkpoint: Checkpoint | None = None) -> SearchOutcome:
+           checkpoint: Checkpoint | None = None) -> SearchOutcome:
     """Exhaustive isomorph-free search for digraphs matching params.
 
     Every vertex gets out-degree exactly d; the diregular flag adds the
@@ -443,13 +432,15 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
     classes.  A checkpoint restores finished tasks, which cost no budget,
     and saves each accepted task as it lands.  So the outcome is identical
     for any jobs, with or without a checkpoint.  The leaves of one call
-    share a canon memo in each process, which ends with the call.
+    share a canon memo in each process, which ends with the call.  A run
+    that stops early cancels the pool's queued tasks and waits for the
+    running ones; no worker is killed.
     """
     if jobs < 1:
         raise ValueError(f"worker count must be at least 1, got {jobs}")
     memo: dict = {}
-    tasks, stats = split_tasks(params, pruning, split_slots, memo=memo)
-    restored = checkpoint.restore(params, pruning, split_slots, tasks) if checkpoint else {}
+    tasks, stats = split_tasks(params, pruning, memo=memo)
+    restored = checkpoint.restore(params, pruning, tasks) if checkpoint else {}
     pending = [i for i in range(len(tasks)) if i not in restored]
     merged: dict[bytes, Digraph] = dict(stats["results"])
     nodes = stats["nodes"]
@@ -461,11 +452,11 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
 
     # more workers than pending tasks or cores would only sit idle
     workers = min(jobs, len(pending), os.cpu_count() or 1)
-    use_pool = workers > 1
-    with multiprocessing.Pool(processes=workers) if use_pool else contextlib.nullcontext() as pool:
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
         # A pool task gets the budget left after the split, a serial one the
         # budget left when it starts; the acceptance check makes them agree.
-        outcomes = (pool.imap(_worker, [payload(i) for i in pending]) if use_pool
+        outcomes = (pool.map(_worker, [payload(i) for i in pending]) if pool is not None
                     else (_worker(payload(i), memo) for i in pending))
         for idx in range(len(tasks)):
             if params.max_results is not None and len(merged) >= params.max_results:
@@ -486,6 +477,11 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
                 merged.setdefault(data, g)
         else:
             complete = True
+    finally:
+        # killing a worker mid-write can hang the pool, so an early stop
+        # only drops the tasks that have not started
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     _pool_memo.clear()  # filled here only by a pool that runs in this process
     if checkpoint:
         checkpoint.flush(exhausted)

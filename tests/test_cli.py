@@ -314,18 +314,18 @@ class TestCheckpointBudgetAndJobs:
         assert plain[1].endswith(summary + "\n")
 
     def test_jobs_with_checkpoint_match_serial_slices(self, tmp_path, monkeypatch):
-        import multiprocessing
+        import concurrent.futures
         import os
 
         pools = []
-        real_pool = multiprocessing.Pool
+        real_pool = concurrent.futures.ProcessPoolExecutor
 
         def counting_pool(*args, **kwargs):
-            pools.append(kwargs.get("processes"))
+            pools.append(kwargs.get("max_workers"))
             return real_pool(*args, **kwargs)
 
         serial = _slices(tmp_path / "serial.json")
-        monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool never outgrows the cores
         parallel = _slices(tmp_path / "parallel.json", "--jobs", "2")
         assert len(serial) > 1
@@ -493,3 +493,17 @@ class TestProcessLevel:
                            capture_output=True, text=True)
         assert r.returncode == 0
         assert r.stdout == "7\n"
+
+    @pytest.mark.parametrize("argv,code", [
+        (["search", "--d", "2", "--k", "1000000", "--excess", "2", "--diregular", "--long-run"], 2),
+        (["verify", "A.dg", "--d", "2", "--k", "1000000", "--excess", "2"], 2),
+        (["cayley-a4", "--k", "1000000"], 1),
+    ], ids=["search", "verify", "cayley-a4"])
+    def test_huge_depth_returns_at_once(self, a_path, argv, code):
+        # moore_bound(2, 10**6) has about 300,000 digits; summing its terms
+        # instead of using the closed form took 20 s already at k = 10**5
+        argv = [a_path if arg == "A.dg" else arg for arg in argv]
+        r = subprocess.run([sys.executable, "-m", "geodex", *argv],
+                           capture_output=True, text=True, timeout=10)
+        assert r.returncode == code
+        assert "Traceback" not in r.stderr

@@ -44,6 +44,11 @@ class TestMooreBound:
     def test_recurrence(self, d, k):
         assert moore_bound(d, k) == d * moore_bound(d, k - 1) + 1
 
+    def test_closed_form_equals_the_sum(self):
+        for d in range(1, 7):
+            for k in range(41):
+                assert moore_bound(d, k) == sum(d ** i for i in range(k + 1))
+
 
 class TestDigraph:
     def test_normalizes_out_lists(self):

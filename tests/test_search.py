@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import os
 
@@ -6,11 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from geodex import (
     Digraph,
-    PartialDigraph,
     SearchParams,
     canonical_form,
     is_k_geodetic,
-    prune,
     run_task,
     search,
     seed_tree,
@@ -19,7 +18,7 @@ from geodex import (
 )
 from geodex.catalog import MAX_ORDER
 from geodex.reach import geodetic_ball
-from geodex.search import _Engine
+from geodex.search import _Engine, prune
 from oracles import bfs_distances, naive_diregular_search
 
 P222 = SearchParams(d=2, k=2, epsilon=2, diregular=True)
@@ -57,25 +56,31 @@ class TestPrune:
     def test_cuts_short_cycle(self):
         # 0 -> 1 -> 3 -> 0 is a 3-cycle, forbidden for k=3
         p3 = SearchParams(d=2, k=3, epsilon=2, diregular=True)
-        partial3 = PartialDigraph(n=17, out=((1, 2), (3, 4), (5, 6), (0,)) + ((),) * 13)
+        partial3 = Digraph(17, ((1, 2), (3, 4), (5, 6), (0,)) + ((),) * 13)
         assert prune(partial3, p3) is True
 
     def test_cuts_duplicate_walk(self):
-        partial = PartialDigraph(n=9, out=((1, 2), (3, 4), (3,), (), (), (), (), (), ()))
+        partial = Digraph(9, ((1, 2), (3, 4), (3,), (), (), (), (), (), ()))
         # both 0->1->3 and 0->2->3 reach 3 within two steps
         assert prune(partial, P222) is True
 
     def test_cuts_in_degree_overflow(self):
-        partial = PartialDigraph(n=9, out=((1, 2), (3, 4), (5, 6), (5,), (5,), (), (), (), ()))
+        partial = Digraph(9, ((1, 2), (3, 4), (5, 6), (5,), (5,), (), (), (), ()))
         assert prune(partial, P222) is True
 
     def test_keeps_catalog_prefix(self, cat_a):
-        partial = PartialDigraph(n=9, out=cat_a.out[:6] + ((),) * 3)
+        partial = Digraph(9, cat_a.out[:6] + ((),) * 3)
         assert prune(partial, P222) is False
 
     def test_keeps_completed_catalog(self, cat_a, cat_b):
         for g in (cat_a, cat_b):
-            assert prune(PartialDigraph(n=9, out=g.out), P222) is False
+            assert prune(g, P222) is False
+
+    def test_rejects_a_partial_of_another_shape(self):
+        with pytest.raises(ValueError, match="partial has order 8, params require 9"):
+            prune(Digraph(8, [()] * 8), P222)
+        with pytest.raises(ValueError, match="vertex 0 has more than 2 out-neighbours"):
+            prune(Digraph(9, [(1, 2, 3)] + [()] * 8), P222)
 
 
 class TestClassification:
@@ -154,19 +159,16 @@ class TestDeterminism:
 
         class InlinePool:
             # records the size asked for and runs the tasks in this process
-            def __init__(self, processes=None):
-                sizes.append(processes)
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, items):
+            def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         assert search(P222, jobs=jobs) == serial
         assert sizes == ([] if workers is None else [workers])
@@ -175,12 +177,37 @@ class TestDeterminism:
         a, b = search(P222), search(P222)
         assert a == b
 
-    def test_split_granularity_preserves_results(self):
+    def test_split_granularity_preserves_results(self, monkeypatch):
+        import importlib
+
         base = {r.form for r in search(P222).results}
-        for slots in (2, 6):
-            out = search(P222, split_slots=slots)
+        for slots, size in ((2, 8), (6, 152)):  # 30 tasks at the default 4
+            monkeypatch.setattr(importlib.import_module("geodex.search"), "SPLIT_SLOTS", slots)
+            assert len(split_tasks(P222)[0]) == size
+            out = search(P222)
             assert {r.form for r in out.results} == base
             assert out.complete
+            assert out.nodes_explored == 3724
+
+
+class TestPoolEarlyStop:
+    # a worker killed while it holds the result queue's lock can hang the
+    # pool for ever, so a pooled run that stops early must kill none
+    @pytest.mark.parametrize("params", [
+        SearchParams(2, 2, 2, True, max_nodes=1500),
+        SearchParams(2, 2, 2, True, max_results=1),
+    ], ids=["budget", "max_results"])
+    def test_stops_without_terminating_a_worker(self, monkeypatch, params):
+        serial = search(params)
+        assert not serial.complete
+
+        def terminate(process):
+            raise AssertionError(f"{process.name} was terminated")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate", terminate)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+        for _ in range(3):
+            assert search(params, jobs=2) == serial
 
 
 class TestCanonMemo:
@@ -264,7 +291,7 @@ class TestBudgets:
 
 class TestTaskSplitting:
     def test_split_covers_space(self):
-        tasks, stats = split_tasks(P222, "full", 4, None)
+        tasks, stats = split_tasks(P222, "full")
         assert tasks
         merged = dict(stats["results"])
         nodes = stats["nodes"]
@@ -279,9 +306,9 @@ class TestTaskSplitting:
         assert nodes == direct.nodes_explored
 
     def test_tasks_are_valid_partials(self):
-        tasks, _ = split_tasks(P222, "full", 4, None)
+        tasks, _ = split_tasks(P222, "full")
         for task in tasks:
-            assert task.n == 9
+            assert isinstance(task, Digraph) and task.n == 9
             assert all(len(row) <= 2 for row in task.out)
 
 
@@ -345,7 +372,7 @@ class TestEmittedInvariants:
 
 
 class _AuditedEngine(_Engine):
-    """The engine with its per-arc check and its stored balls audited at every node."""
+    """The engine with its per-arc check, its stored balls and its undo audited at every node."""
 
     def __init__(self, params, pruning, start, budget):
         super().__init__(params, pruning, start, budget)
@@ -360,8 +387,8 @@ class _AuditedEngine(_Engine):
         undo = super()._check_after(v, w)
         self.checked += 1
         # the global cuts run only when v's out-list has just filled
-        mode = self.pruning if len(self.out[v]) == self.d else "basic"
-        partial = PartialDigraph(self.n, tuple(tuple(sorted(t)) for t in self.out))
+        mode = self.pruning if self.out_mask[v].bit_count() == self.d else "basic"
+        partial = Digraph(self.n, self._rows())
         assert (undo is not None) == (not prune(partial, self.params, mode))
         if undo is None:
             assert self.balls == before
@@ -369,10 +396,13 @@ class _AuditedEngine(_Engine):
             assert self.balls == self._fresh_balls()
         return undo
 
+    def _state(self):
+        return list(self.balls), list(self.out_mask), list(self.in_mask), self.max_used
+
     def _dfs(self, hint, depth):
-        before = list(self.balls)
+        before = self._state()
         super()._dfs(hint, depth)
-        assert self.balls == before
+        assert self._state() == before
 
 
 @st.composite
@@ -397,10 +427,9 @@ def geodetic_partials(draw, cases=((2, 2, 2, True), (2, 2, 2, False), (2, 2, 3, 
         if not targets:
             continue
         out[v].append(draw(st.sampled_from(targets)))
-        partial = PartialDigraph(n, tuple(tuple(sorted(row)) for row in out))
-        if prune(partial, params, "basic"):
+        if prune(Digraph(n, out), params, "basic"):
             out[v].pop()
-    return params, PartialDigraph(n, tuple(tuple(sorted(row)) for row in out))
+    return params, Digraph(n, out)
 
 
 class TestIncrementalCheck:
@@ -463,7 +492,7 @@ class _TwinAuditEngine(_Engine):
         self.kept = self.pairs = 0
 
     def _audit(self):
-        g = Digraph(self.n, self.out)
+        g = Digraph(self.n, self._rows())
         failed, pairs = _twin_violations(g, self.k)
         assert failed == [], (g.out, failed)
         self.kept += 1
