@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .core import Digraph, is_k_geodetic, moore_bound
+from .core import Digraph, SearchParams, is_k_geodetic
 
 Perm = tuple[int, int, int, int]
 
@@ -73,11 +73,7 @@ def search_cayley_a4(k: int = 2, epsilon: int = 5) -> list[CayleyWitness]:
     Every candidate digraph has order 12, so the result is empty whenever
     12 != moore_bound(2, k) + epsilon; for k = 2 that forces epsilon = 5.
     """
-    if k < 1:
-        raise ValueError(f"geodecity parameter must be at least 1, got {k}")
-    if epsilon < 0:
-        raise ValueError(f"excess must be non-negative, got {epsilon}")
-    if moore_bound(2, k) + epsilon != 12:
+    if SearchParams(d=2, k=k, epsilon=epsilon).order != 12:
         return []
     witnesses = []
     for s, t in combinations(a4_elements(), 2):

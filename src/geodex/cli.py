@@ -23,47 +23,36 @@ from .search import Checkpoint, search
 LONG_RUN_ORDER = 17
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _load_digraph(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return read_digraph(fh)
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except DigraphFormatError as exc:
-        raise _UsageError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _open_for_writing(path: str, mode: str = "w"):
     try:
         return open(path, mode, encoding="utf-8")
     except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc}") from None
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 def _params_from(args) -> SearchParams:
-    try:
-        return SearchParams(
-            d=args.d,
-            k=args.k,
-            epsilon=args.excess,
-            diregular=args.diregular,
-            max_results=getattr(args, "limit", None),
-            max_nodes=getattr(args, "budget", None),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return SearchParams(
+        d=args.d,
+        k=args.k,
+        epsilon=args.excess,
+        diregular=args.diregular,
+        max_results=getattr(args, "limit", None),
+        max_nodes=getattr(args, "budget", None),
+    )
 
 
 def _cmd_moore(args, out, err) -> int:
-    try:
-        value = moore_bound(args.d, args.k)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    print(value, file=out)
+    print(moore_bound(args.d, args.k), file=out)
     return 0
 
 
@@ -116,12 +105,8 @@ def _cmd_census(args, out, err) -> int:
     # opened before anything is printed, so that a bad path prints nothing
     with _open_for_writing(args.emit) if args.emit else contextlib.nullcontext() as emit:
         census = triangle_census(g)
-        classify_ok = True
-        try:
-            params = SearchParams(d=args.d, k=args.k, epsilon=args.excess, diregular=True)
-            classify_ok = verify(g, params).ok and args.d == 2 and args.k == 2 and args.excess == 2
-        except ValueError:
-            classify_ok = False
+        # the good/bad labels are defined for diregular (2,2,+2)-digraphs only
+        classify_ok = verify(g, SearchParams(d=2, k=2, epsilon=2, diregular=True)).ok
         for tri in census.triangles:
             print("triangle " + " ".join(map(str, tri)), file=out)
         print("per-vertex " + " ".join(map(str, census.per_vertex)), file=out)
@@ -148,7 +133,7 @@ def _cmd_census(args, out, err) -> int:
 def _cmd_search(args, out, err) -> int:
     params = _params_from(args)
     if params.order >= LONG_RUN_ORDER and not args.long_run:
-        raise _UsageError(
+        raise ValueError(
             f"order {params.order} search may run for hours; pass --long-run to confirm"
         )
     checkpoint = Checkpoint(args.checkpoint, err) if args.checkpoint else None
@@ -169,10 +154,7 @@ def _cmd_search(args, out, err) -> int:
 
 
 def _cmd_cayley_a4(args, out, err) -> int:
-    try:
-        witnesses = search_cayley_a4(args.k, args.excess)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    witnesses = search_cayley_a4(args.k, args.excess)
     for w in witnesses:
         s, t = w.generators
         print("witness " + "".join(map(str, s)) + " " + "".join(map(str, t)), file=out)
@@ -215,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="triangle census and pair classification")
     p.add_argument("path")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--excess", type=int, default=2)
     p.add_argument("--emit", help="also write a JSON dump to this path")
     p.set_defaults(func=_cmd_census)
 
@@ -253,9 +232,6 @@ def run(argv: list[str], out=None, err=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args, out, err)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return 2

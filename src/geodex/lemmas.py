@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Digraph, SearchParams, moore_bound, outlier_set, verify
-# verify reports the outlier counts too, so the function lives in core
-from .core import outlier_multiplicity
 
 
 @dataclass(frozen=True)

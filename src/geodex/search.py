@@ -30,6 +30,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TextIO
 
 from .canon import CanonicalForm, canonical_form
@@ -39,6 +40,11 @@ from .reach import geodetic_ball, geodetic_balls, layers
 
 SPLIT_SLOTS = 4
 CHECKPOINT_VERSION = 2
+
+# The canon memo (see canonical_form) that every leaf of this process goes
+# through.  split_tasks empties it, so each search starts with it empty,
+# and search() empties it on return; a pool worker's copy ends with the pool.
+_memo: dict = {}
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,7 @@ class _Engine:
     """
 
     def __init__(self, params: SearchParams, pruning: str, start: Digraph,
-                 budget: int | None, memo: dict | None = None):
+                 budget: int | None):
         if pruning not in ("full", "basic"):
             raise ValueError(f"unknown pruning mode {pruning!r}")
         self.params = params
@@ -97,7 +103,6 @@ class _Engine:
         self.diregular = params.diregular
         self.mult_mode = pruning == "full" and params.diregular
         self.budget = budget
-        self.memo = {} if memo is None else memo
         n = self.n
         if start.n != n:
             raise ValueError(f"partial has order {start.n}, params require {n}")
@@ -220,7 +225,7 @@ class _Engine:
         report = verify(g, self.params)
         if not report.ok:
             raise RuntimeError("internal error: generated digraph fails verification")
-        self.results.setdefault(canonical_form(g, self.memo).data, g)
+        self.results.setdefault(canonical_form(g, _memo).data, g)
 
     def _dfs(self, hint: int, depth: int) -> None:
         v = self._next_open(hint)
@@ -279,17 +284,16 @@ def prune(partial: Digraph, params: SearchParams, pruning: str = "full") -> bool
     return not engine.check_state()
 
 
-def split_tasks(params: SearchParams, pruning: str = "full", *,
-                memo: dict | None = None) -> tuple[list[Digraph], dict]:
+def split_tasks(params: SearchParams, pruning: str = "full") -> tuple[list[Digraph], dict]:
     """First stage of a search: expand the seed by SPLIT_SLOTS arc decisions.
 
     Returns the surviving partials as independent tasks plus a stats dict
     with nodes, results found below the split depth, and a stopped flag,
-    which stays False because the split has no node budget.  memo is the
-    canon memo the leaves go through (see canonical_form); by default a
-    fresh one.
+    which stays False because the split has no node budget.  It empties
+    the canon memo first, since every search starts with its split.
     """
-    engine = _Engine(params, pruning, seed_tree(params), budget=None, memo=memo)
+    _memo.clear()
+    engine = _Engine(params, pruning, seed_tree(params), budget=None)
     engine.run(split_at=SPLIT_SLOTS)
     stats = {
         "nodes": engine.nodes,
@@ -300,29 +304,14 @@ def split_tasks(params: SearchParams, pruning: str = "full", *,
 
 
 def run_task(params: SearchParams, task: Digraph, pruning: str = "full",
-             budget: int | None = None, *,
-             memo: dict | None = None) -> tuple[dict[bytes, Digraph], int, bool]:
+             budget: int | None = None) -> tuple[dict[bytes, Digraph], int, bool]:
     """Exhaust one search subtree; returns (results, nodes, stopped).
 
     stopped is set when the node budget ran out before the subtree did.
-    memo is as for split_tasks.
     """
-    engine = _Engine(params, pruning, task, budget=budget, memo=memo)
+    engine = _Engine(params, pruning, task, budget=budget)
     engine.run()
     return dict(engine.results), engine.nodes, engine.stopped
-
-
-# The canon memo a pool worker's tasks share.  A worker starts with it
-# empty (search() leaves this process's copy empty) and ends with the
-# pool, so it lives for one search() call.
-_pool_memo: dict = {}
-
-
-def _worker(payload, memo: dict | None = None) -> tuple[list[tuple[bytes, Digraph]], int, bool]:
-    params, pruning, task, budget = payload
-    results, nodes, stopped = run_task(params, task, pruning, budget,
-                                       memo=_pool_memo if memo is None else memo)
-    return sorted(results.items()), nodes, stopped
 
 
 class Checkpoint:
@@ -344,7 +333,7 @@ class Checkpoint:
         return ValueError(f"checkpoint {self.path}: {why}")
 
     def restore(self, params: SearchParams, pruning: str,
-                tasks: list[Digraph]) -> dict[int, tuple[list, int]]:
+                tasks: list[Digraph]) -> dict[int, tuple[dict[bytes, Digraph], int]]:
         """Read and check the whole file; returns (results, nodes) by task index.
 
         Call it before save and flush.  A missing file is a fresh start,
@@ -385,25 +374,25 @@ class Checkpoint:
                     and all(isinstance(text, str) for text in record["results"].values())):
                 raise self._bad(f"task {name}: malformed record")
             try:
-                items = [(bytes.fromhex(form), read_digraph(text))
-                         for form, text in record["results"].items()]
+                results = {bytes.fromhex(form): read_digraph(text)
+                           for form, text in record["results"].items()}
             except ValueError as exc:
                 raise self._bad(f"task {name}: {exc}") from None
-            for data, g in items:
+            for data, g in results.items():
                 if not verify(g, params).ok:
                     raise self._bad(f"task {name}: result {data.hex()} does not verify")
                 if canonical_form(g).data != data:
                     raise self._bad(f"task {name}: result {data.hex()} is not its digraph's canonical form")
-            restored[int(name)] = items, record["nodes"]
+            restored[int(name)] = results, record["nodes"]
         self.done = saved["done"]
         print(f"resuming: {len(self.done)} tasks already finished", file=self.log)
         return restored
 
-    def save(self, index: int, items: list[tuple[bytes, Digraph]], nodes: int,
+    def save(self, index: int, results: dict[bytes, Digraph], nodes: int,
              explored: int) -> None:
-        """Record a finished task and rewrite the file."""
-        results = {form.hex(): write_digraph(g) for form, g in items}
-        self.done[str(index)] = {"nodes": nodes, "results": results}
+        """Record a finished task, its results in form order, and rewrite the file."""
+        texts = {form.hex(): write_digraph(g) for form, g in sorted(results.items())}
+        self.done[str(index)] = {"nodes": nodes, "results": texts}
         self.flush()
         print(f"progress tasks={len(self.done)}/{self.total} nodes={explored}", file=self.log)
 
@@ -432,48 +421,44 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
     classes.  A checkpoint restores finished tasks, which cost no budget,
     and saves each accepted task as it lands.  So the outcome is identical
     for any jobs, with or without a checkpoint.  The leaves of one call
-    share a canon memo in each process, which ends with the call.  A run
-    that stops early cancels the pool's queued tasks and waits for the
+    share the canon memo of each process, which is emptied on return.  A
+    run that stops early cancels the pool's queued tasks and waits for the
     running ones; no worker is killed.
     """
     if jobs < 1:
         raise ValueError(f"worker count must be at least 1, got {jobs}")
-    memo: dict = {}
-    tasks, stats = split_tasks(params, pruning, memo=memo)
+    tasks, stats = split_tasks(params, pruning)
     restored = checkpoint.restore(params, pruning, tasks) if checkpoint else {}
     pending = [i for i in range(len(tasks)) if i not in restored]
     merged: dict[bytes, Digraph] = dict(stats["results"])
     nodes = stats["nodes"]
     left = None if params.max_nodes is None else params.max_nodes - nodes
     complete = exhausted = False
-
-    def payload(i: int):
-        return params, pruning, tasks[i], None if left is None else max(0, left)
-
     # more workers than pending tasks or cores would only sit idle
     workers = min(jobs, len(pending), os.cpu_count() or 1)
     pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        # A pool task gets the budget left after the split, a serial one the
-        # budget left when it starts; the acceptance check makes them agree.
-        outcomes = (pool.map(_worker, [payload(i) for i in pending]) if pool is not None
-                    else (_worker(payload(i), memo) for i in pending))
+        # Every task gets the budget left after the split (below 0 it stops
+        # at once); the acceptance check makes that agree with the budget left now.
+        outcomes = (pool.map if pool else map)(run_task, repeat(params),
+                                               [tasks[i] for i in pending],
+                                               repeat(pruning), repeat(left))
         for idx in range(len(tasks)):
             if params.max_results is not None and len(merged) >= params.max_results:
                 break
             if idx in restored:
-                items, task_nodes = restored[idx]
+                task_results, task_nodes = restored[idx]
             else:
-                items, task_nodes, task_stopped = next(outcomes)
+                task_results, task_nodes, task_stopped = next(outcomes)
                 if left is not None:
                     if task_stopped or task_nodes > left:
                         exhausted = True
                         break
                     left -= task_nodes
                 if checkpoint:
-                    checkpoint.save(idx, items, task_nodes, nodes + task_nodes)
+                    checkpoint.save(idx, task_results, task_nodes, nodes + task_nodes)
             nodes += task_nodes
-            for data, g in items:
+            for data, g in task_results.items():
                 merged.setdefault(data, g)
         else:
             complete = True
@@ -482,7 +467,7 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
         # only drops the tasks that have not started
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    _pool_memo.clear()  # filled here only by a pool that runs in this process
+        _memo.clear()
     if checkpoint:
         checkpoint.flush(exhausted)
     ordered = sorted(merged.items())

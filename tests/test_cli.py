@@ -175,7 +175,7 @@ class TestCensus:
     def test_classification_skipped_off_spec(self, tmp_path):
         p = tmp_path / "c3.dg"
         p.write_text("n 3\n0: 1\n1: 2\n2: 0\n")
-        code, out, _ = invoke("census", str(p), "--d", "1", "--k", "2", "--excess", "0")
+        code, out, _ = invoke("census", str(p))
         assert code == 0
         assert "triangle 0 1 2" in out
 

@@ -162,8 +162,8 @@ class TestDeterminism:
             def __init__(self, max_workers=None):
                 sizes.append(max_workers)
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
             def shutdown(self, cancel_futures=False):
                 pass
@@ -223,16 +223,33 @@ class TestCanonMemo:
             return real(g, memo)
 
         monkeypatch.setattr(engine, "canonical_form", recording)
-        runs = []
         for _ in range(2):
             memos.clear()
             assert len(search(P222).results) == 2
-            runs.append(list(memos))
-        for calls in runs:
-            assert len(calls) == 56
-            assert calls[0][1] == 0
-            assert all(memo is calls[0][0] for memo, _ in calls)  # one memo per call
-        assert runs[1][0][0] is not runs[0][0][0]
+            assert len(memos) == 56
+            assert memos[0][1] == 0
+            assert all(memo is memos[0][0] for memo, _ in memos)  # one memo for every leaf
+            assert memos[0][0] == {}  # emptied once search() returns
+
+    def test_split_and_tasks_by_hand_share_the_memo_of_search(self, monkeypatch):
+        # driving split_tasks and then run_task on each task, as a caller
+        # outside search() does, must refine no more often than search()
+        import geodex.canon as canon_module
+
+        real, calls = canon_module._refine, []
+
+        def counting(g, cells):
+            calls.append(1)
+            return real(g, cells)
+
+        monkeypatch.setattr(canon_module, "_refine", counting)
+        search(P222)
+        in_search = len(calls)
+        calls.clear()
+        tasks, _ = split_tasks(P222)
+        for task in tasks:
+            run_task(P222, task)
+        assert len(calls) == in_search
 
     def test_jobs_1_and_2_identical_on_a_leaf_rich_search(self):
         params = SearchParams(d=2, k=2, epsilon=3, diregular=True)
