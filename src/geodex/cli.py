@@ -15,8 +15,8 @@ import sys
 from . import catalog as catalog_mod
 from .canon import canonical_form, are_isomorphic
 from .cayley import search_cayley_a4
-from .core import SearchParams, moore_bound, verify
-from .catalog import DigraphFormatError, read_digraph, write_digraph
+from .core import SearchParams, _order_text, moore_bound, verify
+from .catalog import MAX_ORDER, DigraphFormatError, read_digraph, write_digraph
 from .lemmas import classify_pair, common_out_pairs, triangle_census
 from .search import Checkpoint, search
 
@@ -59,7 +59,7 @@ def _cmd_moore(args, out, err) -> int:
 def _cmd_verify(args, out, err) -> int:
     g = _load_digraph(args.path)
     report = verify(g, _params_from(args))
-    print(f"order {report.order} expected {report.expected_order} "
+    print(f"order {report.order} expected {_order_text(report.expected_order)} "
           f"{'PASS' if report.order_ok else 'FAIL'}", file=out)
     print(f"outdegree {'PASS' if report.outdegree_ok else 'FAIL'}", file=out)
     if report.params.diregular:
@@ -132,7 +132,7 @@ def _cmd_census(args, out, err) -> int:
 
 def _cmd_search(args, out, err) -> int:
     params = _params_from(args)
-    if params.order >= LONG_RUN_ORDER and not args.long_run:
+    if LONG_RUN_ORDER <= params.order <= MAX_ORDER and not args.long_run:
         raise ValueError(
             f"order {params.order} search may run for hours; pass --long-run to confirm"
         )

@@ -11,6 +11,8 @@ path counting under that convention, which is what the checker exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Iterable
 
 from .reach import geodetic_ball, layers, reach
@@ -26,6 +28,14 @@ def moore_bound(d: int, k: int) -> int:
     if k < 0:
         raise ValueError(f"depth must be non-negative, got {k}")
     return k + 1 if d == 1 else (d ** (k + 1) - 1) // (d - 1)
+
+
+def _order_text(n: int) -> str:
+    """n in decimal, or ~2**e once it has too many digits for str()."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"~2**{n.bit_length() - 1}"
 
 
 class Digraph:
@@ -133,45 +143,43 @@ class GeodeticViolation:
     walk_b: tuple[int, ...]
 
 
-def _first_two_walks(g: Digraph, u: int, v: int, k: int) -> list[tuple[int, ...]]:
-    # walks from u to v of length <= k in lexicographic order; for u == v the
-    # trivial walk (u,) comes first
-    found: list[tuple[int, ...]] = []
-    if u == v:
-        found.append((u,))
-    walk = [u]
-
-    def rec(x: int, depth: int) -> bool:
-        if depth > 0 and x == v:
-            found.append(tuple(walk))
-            if len(found) >= 2:
-                return True
-        if depth == k:
-            return False
-        for w in g.out[x]:
-            walk.append(w)
-            if rec(w, depth + 1):
-                return True
-            walk.pop()
-        return False
-
-    rec(u, 0)
-    return found[:2]
+def _first_two_walks(g: Digraph, in_masks: list[int], u: int, v: int, k: int) -> list[tuple[int, ...]]:
+    # walks from u to v of length <= k in lexicographic order, (u,) first for u == v,
+    # stepping only into near[steps left]: the vertices that still reach v in time
+    near = list(accumulate(layers(in_masks, v, k), or_))
+    found = [(u,)] if u == v else []
+    stack = [(u, iter(g.out[u]))]
+    while stack and len(found) < 2:
+        left = k - len(stack)
+        for w in stack[-1][1]:
+            if near[min(left, len(near) - 1)] >> w & 1:
+                stack.append((w, iter(g.out[w] if left else ())))
+                if w == v:
+                    found.append(tuple(x for x, _ in stack))
+                break
+        else:
+            stack.pop()
+    return found
 
 
 def find_geodetic_violation(g: Digraph, k: int) -> GeodeticViolation | None:
     """First geodecity violation in (source, target) lexicographic order, or None.
 
     A violation is either a pair of distinct walks of length <= k between
-    the same ordered pair, or a closed walk of length 1..k.
+    the same ordered pair, or a closed walk of length 1..k.  The witness is
+    that pair's first two walks in lexicographic order.  The verdict scans at
+    most 2n steps: a walk of n or more steps repeats a vertex, so a cycle lies
+    within n-1 steps of the source and gives two walks of length < 2n.
     """
     if k < 1:
         raise ValueError(f"geodecity parameter must be at least 1, got {k}")
     masks = _masks(g.out)
     for u in range(g.n):
-        if not geodetic_ball(masks, u, k):
+        if not geodetic_ball(masks, u, min(k, 2 * g.n)):
+            # some target has two walks, so this branch returns: one build per call
+            in_masks = _masks(g.in_lists)
             for v in range(g.n):
-                walks = _first_two_walks(g, u, v, k)
+                walks = _first_two_walks(g, in_masks, u, v, k)
                 if len(walks) == 2:
                     return GeodeticViolation(u, v, *walks)
     return None

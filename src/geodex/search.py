@@ -35,7 +35,7 @@ from typing import TextIO
 
 from .canon import CanonicalForm, canonical_form
 from .catalog import MAX_ORDER, read_digraph, write_digraph
-from .core import Digraph, SearchParams, moore_bound, verify
+from .core import Digraph, SearchParams, _order_text, moore_bound, verify
 from .reach import geodetic_ball, geodetic_balls, layers
 
 SPLIT_SLOTS = 4
@@ -77,7 +77,7 @@ def seed_tree(params: SearchParams) -> Digraph:
     d, k = params.d, params.k
     n = params.order
     if n > MAX_ORDER:
-        raise ValueError(f"order {n} exceeds the limit of {MAX_ORDER}")
+        raise ValueError(f"order {_order_text(n)} exceeds the limit of {MAX_ORDER}")
     internal = moore_bound(d, k - 1)
     return Digraph(n, [range(d * v + 1, d * v + d + 1) if v < internal else ()
                        for v in range(n)])
@@ -470,6 +470,9 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
         _memo.clear()
     if checkpoint:
         checkpoint.flush(exhausted)
+        if exhausted and len(checkpoint.done) == len(restored):
+            print(f"stalled: task {idx} needs more than the {max(left, 0)} nodes left after "
+                  "the split; rerunning with this budget cannot progress", file=checkpoint.log)
     ordered = sorted(merged.items())
     if params.max_results is not None and len(ordered) > params.max_results:
         ordered = ordered[: params.max_results]

@@ -279,6 +279,27 @@ class TestSearchCheckpoint:
         assert code == 2
         assert "checkpoint" in err
 
+    def test_stalled_run_says_so_and_leaves_the_file(self, tmp_path):
+        # task 33 of this search needs more nodes than --budget 3000 leaves
+        # after the split, so from some rerun on no task can be saved
+        cp = tmp_path / "cp.json"
+        argv = ["search", "--d", "2", "--k", "2", "--excess", "3", "--diregular",
+                "--budget", "3000", "--checkpoint", str(cp)]
+        for _ in range(20):
+            before = cp.read_bytes() if cp.exists() else None
+            code, out, err = invoke(*argv)
+            assert code == 1
+            stalled = "cannot progress" in err
+            assert stalled == (cp.read_bytes() == before)
+            if stalled:
+                break
+        assert stalled
+        assert err.splitlines()[-1] == ("stalled: task 33 needs more than the 2837 nodes left "
+                                        "after the split; rerunning with this budget cannot progress")
+        assert out.endswith("results=7 nodes=29206 complete=false\n")
+        assert invoke(*argv) == (code, out, err)
+        assert cp.read_bytes() == before
+
 
 SEARCH_222 = ["search", "--d", "2", "--k", "2", "--excess", "2", "--diregular"]
 
@@ -494,16 +515,49 @@ class TestProcessLevel:
         assert r.returncode == 0
         assert r.stdout == "7\n"
 
-    @pytest.mark.parametrize("argv,code", [
-        (["search", "--d", "2", "--k", "1000000", "--excess", "2", "--diregular", "--long-run"], 2),
-        (["verify", "A.dg", "--d", "2", "--k", "1000000", "--excess", "2"], 2),
-        (["cayley-a4", "--k", "1000000"], 1),
-    ], ids=["search", "verify", "cayley-a4"])
-    def test_huge_depth_returns_at_once(self, a_path, argv, code):
-        # moore_bound(2, 10**6) has about 300,000 digits; summing its terms
-        # instead of using the closed form took 20 s already at k = 10**5
+    @pytest.mark.parametrize("argv,code,shown", [
+        (["search", "--d", "2", "--k", "1000000", "--excess", "2", "--diregular", "--long-run"], 2,
+         ["error: order ~2**1000001 exceeds the limit of 4096\n"]),
+        (["search", "--d", "2", "--k", "1000000", "--excess", "2"], 2,
+         ["error: order ~2**1000001 exceeds the limit of 4096\n"]),
+        (["verify", "A.dg", "--d", "2", "--k", "1000000", "--excess", "2"], 1,
+         ["order 9 expected ~2**1000001 FAIL\n", "geodetic FAIL pair 0 0 walks 0 and 0,1,3,0\n",
+          "verdict FAIL\n"]),
+        (["cayley-a4", "--k", "1000000"], 1, ["witnesses=0\n"]),
+    ], ids=["search", "search-without-long-run", "verify", "cayley-a4"])
+    def test_huge_depth_returns_at_once(self, a_path, argv, code, shown):
+        # moore_bound(2, 10**6) has about 300,000 digits, too many for str(),
+        # so messages show it as ~2**e; summing its terms instead of using
+        # the closed form took 20 s already at k = 10**5
         argv = [a_path if arg == "A.dg" else arg for arg in argv]
         r = subprocess.run([sys.executable, "-m", "geodex", *argv],
                            capture_output=True, text=True, timeout=10)
         assert r.returncode == code
         assert "Traceback" not in r.stderr
+        for text in shown:
+            assert text in r.stdout + r.stderr
+
+    @pytest.mark.parametrize("n,out,argv,shown", [
+        # 0 -> {1, 2}, then 29 rungs {1+2i, 2+2i} -> {3+2i, 4+2i}: the number
+        # of walks of length <= k from 0 doubles with each step of k
+        (61, [(1, 2)] + [(3 + 2 * (i // 2), 4 + 2 * (i // 2)) for i in range(58)] + [(), ()],
+         ["--d", "2", "--k", "40"], ["geodetic FAIL pair 0 3 walks 0,1,3 and 0,2,3\n"]),
+        # the closed walk has 1,500 steps, more than Python's recursion limit
+        (1500, [((i + 1) % 1500,) for i in range(1500)],
+         ["--d", "1", "--k", "1600"],
+         [f"geodetic FAIL pair 0 0 walks 0 and {','.join(map(str, range(1500)))},0\n",
+          "verdict FAIL\n"]),
+        # no walk from any vertex lasts more than 199 steps
+        (200, [(i + 1,) for i in range(199)] + [()],
+         ["--d", "1", "--k", "1000000"],
+         ["order 200 expected 1000001 FAIL\n", "geodetic PASS\n", "verdict FAIL\n"]),
+    ], ids=["ladder", "cycle", "path"])
+    def test_verify_at_a_depth_far_above_the_order(self, tmp_path, n, out, argv, shown):
+        path = tmp_path / "g.dg"
+        path.write_text(write_digraph(Digraph(n, out)))
+        r = subprocess.run([sys.executable, "-m", "geodex", "verify", str(path), *argv,
+                            "--excess", "0"], capture_output=True, text=True, timeout=10)
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        for text in shown:
+            assert text in r.stdout

@@ -185,6 +185,22 @@ class TestGeodetic:
         for walk in (v.walk_a, v.walk_b):
             assert walk in walks_from(g, v.source, k)
             assert walk[-1] == v.target
+        # and they are that pair's first two walks in lexicographic order
+        ends_at_target = [w for w in walks_from(g, v.source, k) if w[-1] == v.target]
+        assert (v.walk_a, v.walk_b) == tuple(sorted(ends_at_target)[:2])
+
+    @given(digraphs(max_n=6, loops=True), st.data())
+    def test_depths_past_twice_the_order_change_no_ball(self, g, data):
+        # find_geodetic_violation scans at most 2n steps: a violation with a
+        # walk of n or more steps has a cycle within n-1 steps of the source
+        n = g.n
+        k = data.draw(st.integers(2 * n + 1, 4 * n))
+        masks = [sum(1 << w for w in targets) for targets in g.out]
+        balls = [geodetic_ball(masks, u, k) for u in range(n)]
+        assert balls == [geodetic_ball(masks, u, 2 * n) for u in range(n)]
+        # so the witness comes from the first source whose k-ball fails
+        v = find_geodetic_violation(g, k)
+        assert (None if v is None else v.source) == next((u for u, b in enumerate(balls) if not b), None)
 
     @given(digraphs(max_n=6, loops=True), st.integers(1, 3))
     def test_geodetic_ball_is_ball_or_zero(self, g, k):
