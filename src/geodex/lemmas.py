@@ -73,10 +73,15 @@ def common_out_pairs(g: Digraph, c: int) -> list[PairClass]:
 
 def _infer_k_for_excess_2(g: Digraph) -> int | None:
     # order must be moore_bound(2, k) + 2 = 2**(k+1) + 1 for some k >= 2
-    for k in range(2, g.n.bit_length() + 1):
-        if moore_bound(2, k) + 2 == g.n:
-            return k
-    return None
+    k = (g.n - 1).bit_length() - 2
+    return k if k >= 2 and moore_bound(2, k) + 2 == g.n else None
+
+
+def _not_excess_2(g: Digraph, k: int) -> str | None:
+    """Why g is not a diregular (2,k,+2)-digraph, or None when it is one."""
+    if verify(g, SearchParams(d=2, k=k, epsilon=2, diregular=True)).ok:
+        return None
+    return f"not a diregular (2,{k},+2)-digraph"
 
 
 def check_lemma_identical_neighbourhoods(g: Digraph, k: int) -> LemmaCheck:
@@ -88,13 +93,9 @@ def check_lemma_identical_neighbourhoods(g: Digraph, k: int) -> LemmaCheck:
     """
     if k < 2:
         return LemmaCheck(applicable=False, holds=None, reason=f"requires k >= 2, got {k}")
-    report = verify(g, SearchParams(d=2, k=k, epsilon=2, diregular=True))
-    if not report.ok:
-        return LemmaCheck(
-            applicable=False,
-            holds=None,
-            reason=f"not a diregular (2,{k},+2)-digraph",
-        )
+    reason = _not_excess_2(g, k)
+    if reason:
+        return LemmaCheck(applicable=False, holds=None, reason=reason)
     outliers = [set(outlier_set(g, u, k)) for u in range(g.n)]
     pairs = []
     violations = []
@@ -136,13 +137,9 @@ def check_lemma_pair_exists(g: Digraph) -> LemmaCheck:
             holds=None,
             reason=f"order {g.n} is not moore_bound(2, k) + 2 for any k >= 2",
         )
-    report = verify(g, SearchParams(d=2, k=k, epsilon=2, diregular=True))
-    if not report.ok:
-        return LemmaCheck(
-            applicable=False,
-            holds=None,
-            reason=f"not a diregular (2,{k},+2)-digraph",
-        )
+    reason = _not_excess_2(g, k)
+    if reason:
+        return LemmaCheck(applicable=False, holds=None, reason=reason)
     found = common_out_pairs(g, 1)
     return LemmaCheck(
         applicable=True,
@@ -162,9 +159,9 @@ def classify_pair(g: Digraph, u: int, v: int, k: int) -> PairClass:
         raise ValueError(f"precondition failed: classification is defined for k = 2, got k = {k}")
     if u == v:
         raise ValueError("precondition failed: need two distinct vertices")
-    report = verify(g, SearchParams(d=2, k=2, epsilon=2, diregular=True))
-    if not report.ok:
-        raise ValueError("precondition failed: not a diregular (2,2,+2)-digraph")
+    reason = _not_excess_2(g, k)
+    if reason:
+        raise ValueError(f"precondition failed: {reason}")
     common = set(g.out[u]) & set(g.out[v])
     if len(common) != 1:
         raise ValueError(

@@ -7,7 +7,8 @@ moore_bound(d, k) vertices can be fixed in breadth-first order for free.
 Later targets must keep each out-list strictly increasing, and a brand
 new vertex may only enter as the smallest unused index.  Every digraph
 with out-degree exactly d has a relabeling that the grammar produces, so
-nothing is lost; duplicates that survive are removed by canonical form.
+nothing is lost; duplicates that survive are removed by canonical form,
+and only a leaf of a class new to its task is verified.
 
 Pruning is incremental.  The engine stores every vertex's k-ball.  After
 an arc v -> w lands, only sources that reach v within k-1 steps gain
@@ -15,9 +16,11 @@ walks, and the new ones all run through the arc: a source t steps from
 v gains w's ball of radius k-1-t, which must not meet its stored ball.
 So each arc costs one backward scan from v, one scan of w's balls and
 one AND per source, and the stored balls grow (and are undone on
-backtrack) by exactly those new ends.  Whenever an out-list fills,
-full pruning in diregular mode additionally runs one global cut on the
-stored balls: a vertex shut out of more than epsilon finished k-balls.
+backtrack) by exactly those new ends.  A task's start partial enters
+the same way, one arc at a time from the empty digraph, so every state
+is checked by the same code.  Whenever an out-list fills, full pruning
+in diregular mode additionally runs one global cut on the stored balls:
+a vertex shut out of more than epsilon finished k-balls.
 All cuts are sound: they only fire on partials no valid completion can
 extend.
 """
@@ -36,7 +39,7 @@ from typing import TextIO
 from .canon import CanonicalForm, canonical_form
 from .catalog import MAX_ORDER, read_digraph, write_digraph
 from .core import Digraph, SearchParams, _order_text, moore_bound, verify
-from .reach import geodetic_ball, geodetic_balls, layers
+from .reach import geodetic_balls, layers
 
 SPLIT_SLOTS = 4
 CHECKPOINT_VERSION = 2
@@ -97,26 +100,25 @@ class _Engine:
         if pruning not in ("full", "basic"):
             raise ValueError(f"unknown pruning mode {pruning!r}")
         self.params = params
-        self.n = params.order
+        self.n = n = params.order
         self.d = params.d
         self.k = params.k
         self.diregular = params.diregular
         self.mult_mode = pruning == "full" and params.diregular
         self.budget = budget
-        n = self.n
         if start.n != n:
             raise ValueError(f"partial has order {start.n}, params require {n}")
-        self.out_mask = [0] * n
-        self.in_mask = [0] * n
-        self.max_used = -1
         for v, targets in enumerate(start.out):
             if len(targets) > self.d:
                 raise ValueError(f"vertex {v} has more than {self.d} out-neighbours")
-            for w in targets:
-                self.out_mask[v] |= 1 << w
-                self.in_mask[w] |= 1 << v
-            if targets:
-                self.max_used = max(self.max_used, v, targets[-1])
+        self.start = start
+        # the empty digraph, whose k-balls are single vertices; enter() adds start's arcs
+        self.out_mask = [0] * n
+        self.in_mask = [0] * n
+        self.balls = [1 << u for u in range(n)]
+        self.max_used = -1
+        self.moore = moore_bound(self.d, self.k)
+        self.everyone = (1 << n) - 1
         self.nodes = 0
         self.stopped = False
         self.results: dict[bytes, Digraph] = {}
@@ -125,18 +127,26 @@ class _Engine:
 
     # ---- state checks ----
 
-    def check_state(self) -> bool:
-        """Full evaluation of the current partial: False means cut.
+    def enter(self) -> bool:
+        """Land the start partial's arcs row by row; False means cut.
 
-        Also stores every vertex's k-ball in self.balls, which the
-        per-arc check then keeps up to date.
+        Each arc goes through _check_after, as at every DFS node, so
+        balls keeps the exact k-balls.  Stopping at the first cut gives
+        the verdict of the whole partial: arcs only ever break geodecity
+        and raise in-degrees, and a ball reaches full size only on an arc
+        that fills a row, which is when the multiplicity cut runs.
         """
-        self.balls = [geodetic_ball(self.out_mask, u, self.k) for u in range(self.n)]
-        if self.diregular and any(m.bit_count() > self.d for m in self.in_mask):
-            return False
-        if not all(self.balls):
-            return False
-        return not self.mult_mode or self._global_cuts()
+        out_mask, in_mask = self.out_mask, self.in_mask
+        for v, targets in enumerate(self.start.out):
+            for w in targets:
+                out_mask[v] |= 1 << w
+                in_mask[w] |= 1 << v
+                self.max_used = max(self.max_used, v, w)
+                if self.diregular and in_mask[w].bit_count() > self.d:
+                    return False
+                if self._check_after(v, w) is None:
+                    return False
+        return True
 
     def _check_after(self, v: int, w: int) -> list[tuple[int, int]] | None:
         """Test the walks through the new arc v -> w; None means cut.
@@ -183,14 +193,12 @@ class _Engine:
         exactly when it is full size: every vertex within k-1 steps then
         has its whole out-list.
         """
-        n, eps = self.n, self.params.epsilon
-        moore = moore_bound(self.d, self.k)
-        everyone = (1 << n) - 1
-        mult = [0] * n
+        eps, moore = self.params.epsilon, self.moore
+        mult = [0] * self.n
         for acc in self.balls:
             if acc.bit_count() != moore:
                 continue
-            c = everyone & ~acc
+            c = self.everyone & ~acc
             while c:
                 b = c & -c
                 c ^= b
@@ -221,11 +229,14 @@ class _Engine:
         return rows
 
     def _emit(self) -> None:
+        """Keep a leaf whose class is new, verified; isomorphs pass or fail verify together."""
         g = Digraph(self.n, self._rows())
-        report = verify(g, self.params)
-        if not report.ok:
+        form = canonical_form(g, _memo).data
+        if form in self.results:
+            return
+        if not verify(g, self.params).ok:
             raise RuntimeError("internal error: generated digraph fails verification")
-        self.results.setdefault(canonical_form(g, _memo).data, g)
+        self.results[form] = g
 
     def _dfs(self, hint: int, depth: int) -> None:
         v = self._next_open(hint)
@@ -267,21 +278,8 @@ class _Engine:
 
     def run(self, split_at: int | None = None) -> None:
         self.split_at = split_at
-        if not self.check_state():
-            return
-        self._dfs(0, 0)
-
-
-def prune(partial: Digraph, params: SearchParams, pruning: str = "full") -> bool:
-    """Decide whether a partial digraph can be discarded; True means cut.
-
-    Cuts fire on: a duplicate walk or closed walk of length <= k among the
-    decided arcs, an in-degree above d in diregular mode, and, with full
-    pruning in diregular mode, a vertex shut out of more than epsilon
-    finished k-balls.  A cut partial has no completion that verifies.
-    """
-    engine = _Engine(params, pruning, partial, budget=None)
-    return not engine.check_state()
+        if self.enter():
+            self._dfs(0, 0)
 
 
 def split_tasks(params: SearchParams, pruning: str = "full") -> tuple[list[Digraph], dict]:

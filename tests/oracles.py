@@ -71,6 +71,35 @@ def walks_from(g: Digraph, u: int, k: int) -> list[tuple[int, ...]]:
     return walks
 
 
+def partial_cut_oracle(g: Digraph, d: int, k: int, epsilon: int, diregular: bool,
+                       full: bool) -> bool:
+    """Whether the search cuts the partial g; True means cut.
+
+    It cuts when some source has two walks of length 0..k with one end
+    (a closed walk ends at the source's trivial walk), when an in-degree
+    exceeds d in diregular mode, and, with full cuts in diregular mode,
+    when a vertex lies outside more than epsilon finished balls.  A ball
+    is finished when every vertex within k-1 steps has d out-neighbours.
+    """
+    for u in range(g.n):
+        ends = [walk[-1] for walk in walks_from(g, u, k)]
+        if len(set(ends)) < len(ends):
+            return True
+    if not diregular:
+        return False
+    if any(len(g.in_lists[w]) > d for w in range(g.n)):
+        return True
+    if not full:
+        return False
+    outside = [0] * g.n
+    for u in range(g.n):
+        dist = bfs_distances(g, u)
+        if all(len(g.out[x]) == d for x, t in dist.items() if t < k):
+            for x in range(g.n):
+                outside[x] += dist.get(x, k + 1) > k
+    return any(c > epsilon for c in outside)
+
+
 def first_violation_oracle(g: Digraph, k: int) -> tuple[int, int] | None:
     """Lexicographically first (source, target) joined by two walks of length 0..k."""
     for u in range(g.n):

@@ -1,4 +1,6 @@
 import concurrent.futures
+import hashlib
+import json
 import multiprocessing
 import os
 
@@ -17,11 +19,13 @@ from geodex import (
     verify,
 )
 from geodex.catalog import MAX_ORDER
-from geodex.reach import geodetic_ball
-from geodex.search import _Engine, prune
-from oracles import bfs_distances, naive_diregular_search
+from geodex.search import _Engine
+from oracles import bfs_distances, naive_diregular_search, partial_cut_oracle
 
 P222 = SearchParams(d=2, k=2, epsilon=2, diregular=True)
+# (d, k, epsilon, diregular) of the searches that random partials are drawn for
+PARTIAL_CASES = ((2, 2, 2, True), (2, 2, 2, False), (2, 2, 3, True), (2, 3, 2, True),
+                 (3, 2, 1, True))
 
 
 class TestSeedTree:
@@ -49,38 +53,76 @@ class TestSeedTree:
         assert s.out[7:] == ((),) * 10
 
 
+def _oracle_cuts(partial, params, pruning):
+    return partial_cut_oracle(partial, params.d, params.k, params.epsilon, params.diregular,
+                              pruning == "full")
+
+
+def _start_kept(partial, params, pruning="full"):
+    """Whether the engine keeps partial as a task start, asserted equal to the oracle."""
+    kept = _Engine(params, pruning, partial, budget=None).enter()
+    assert kept == (not _oracle_cuts(partial, params, pruning))
+    return kept
+
+
 class TestPrune:
+    # the cuts at a task's start, where the engine lands the partial's arcs
+    # one at a time through the same per-arc check as the search
+
     def test_keeps_seed(self):
-        assert prune(seed_tree(P222), P222) is False
+        assert _start_kept(seed_tree(P222), P222) is True
 
     def test_cuts_short_cycle(self):
         # 0 -> 1 -> 3 -> 0 is a 3-cycle, forbidden for k=3
         p3 = SearchParams(d=2, k=3, epsilon=2, diregular=True)
         partial3 = Digraph(17, ((1, 2), (3, 4), (5, 6), (0,)) + ((),) * 13)
-        assert prune(partial3, p3) is True
+        assert _start_kept(partial3, p3) is False
 
     def test_cuts_duplicate_walk(self):
         partial = Digraph(9, ((1, 2), (3, 4), (3,), (), (), (), (), (), ()))
         # both 0->1->3 and 0->2->3 reach 3 within two steps
-        assert prune(partial, P222) is True
+        assert _start_kept(partial, P222) is False
 
     def test_cuts_in_degree_overflow(self):
         partial = Digraph(9, ((1, 2), (3, 4), (5, 6), (5,), (5,), (), (), (), ()))
-        assert prune(partial, P222) is True
+        assert _start_kept(partial, P222) is False
+        # geodetic, so only vertex 5's in-degree of 3 cuts it
+        partial = Digraph(9, ((1, 2), (3, 4), (5, 6), (5,), (), (), (), (5,), ()))
+        assert _start_kept(partial, P222) is False
+        assert _start_kept(partial, SearchParams(2, 2, 2, diregular=False)) is True
+
+    def test_cuts_on_multiplicity_in_full_mode_only(self):
+        # geodetic, but vertex 8 is outside the finished balls of 0, 1 and 6
+        partial = Digraph(9, ((1, 2), (3, 4), (5, 6), (0, 5), (2, 7), (7, 8), (3, 4), (), ()))
+        assert _start_kept(partial, P222, "full") is False
+        assert _start_kept(partial, P222, "basic") is True
 
     def test_keeps_catalog_prefix(self, cat_a):
         partial = Digraph(9, cat_a.out[:6] + ((),) * 3)
-        assert prune(partial, P222) is False
+        assert _start_kept(partial, P222) is True
 
     def test_keeps_completed_catalog(self, cat_a, cat_b):
         for g in (cat_a, cat_b):
-            assert prune(g, P222) is False
+            assert _start_kept(g, P222) is True
 
     def test_rejects_a_partial_of_another_shape(self):
         with pytest.raises(ValueError, match="partial has order 8, params require 9"):
-            prune(Digraph(8, [()] * 8), P222)
+            _Engine(P222, "full", Digraph(8, [()] * 8), budget=None)
         with pytest.raises(ValueError, match="vertex 0 has more than 2 out-neighbours"):
-            prune(Digraph(9, [(1, 2, 3)] + [()] * 8), P222)
+            _Engine(P222, "full", Digraph(9, [(1, 2, 3)] + [()] * 8), budget=None)
+
+    @given(st.data(), st.sampled_from(["basic", "full"]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_starts_match_the_oracle(self, data, pruning):
+        # any arcs on the seed tree: self-loops and in-degrees above d too
+        d, k, eps, diregular = data.draw(st.sampled_from(PARTIAL_CASES))
+        params = SearchParams(d=d, k=k, epsilon=eps, diregular=diregular)
+        n = params.order
+        out = [list(row) for row in seed_tree(params).out]
+        for _ in range(data.draw(st.integers(0, n))):
+            v = data.draw(st.sampled_from([v for v in range(n) if len(out[v]) < d]))
+            out[v].append(data.draw(st.sampled_from([w for w in range(n) if w not in out[v]])))
+        _start_kept(Digraph(n, out), params, pruning)
 
 
 class TestClassification:
@@ -322,6 +364,17 @@ class TestTaskSplitting:
         assert len(merged) == 2
         assert nodes == direct.nodes_explored
 
+    # the checkpoint key's "tasks" field: a change refuses every saved checkpoint
+    @pytest.mark.parametrize("epsilon,digest", [
+        (2, "1b806c6228060bffc1345850ce7dd0425dffed649c73f3c2aa39a8584dcc290c"),
+        (3, "ed7dfaa4bd355285ddd11474fdbdea5df606fcbe4f9ae9f649463dcb4b63e6be"),
+    ], ids=["excess2", "excess3"])
+    @pytest.mark.parametrize("pruning", ["full", "basic"])
+    def test_task_list_sha256_pinned(self, epsilon, digest, pruning):
+        tasks, _ = split_tasks(SearchParams(2, 2, epsilon, True), pruning)
+        shape = json.dumps([task.out for task in tasks]).encode()
+        assert hashlib.sha256(shape).hexdigest() == digest
+
     def test_tasks_are_valid_partials(self):
         tasks, _ = split_tasks(P222, "full")
         for task in tasks:
@@ -389,7 +442,7 @@ class TestEmittedInvariants:
 
 
 class _AuditedEngine(_Engine):
-    """The engine with its per-arc check, its stored balls and its undo audited at every node."""
+    """The engine with its per-arc check, its stored balls and its undo audited at every arc."""
 
     def __init__(self, params, pruning, start, budget):
         super().__init__(params, pruning, start, budget)
@@ -397,16 +450,16 @@ class _AuditedEngine(_Engine):
         self.checked = 0
 
     def _fresh_balls(self):
-        return [geodetic_ball(self.out_mask, u, self.k) for u in range(self.n)]
+        g = Digraph(self.n, self._rows())
+        return [sum(1 << x for x, t in bfs_distances(g, u).items() if t <= self.k)
+                for u in range(self.n)]
 
     def _check_after(self, v, w):
         before = list(self.balls)
         undo = super()._check_after(v, w)
         self.checked += 1
-        # the global cuts run only when v's out-list has just filled
-        mode = self.pruning if self.out_mask[v].bit_count() == self.d else "basic"
         partial = Digraph(self.n, self._rows())
-        assert (undo is not None) == (not prune(partial, self.params, mode))
+        assert (undo is not None) == (not _oracle_cuts(partial, self.params, self.pruning))
         if undo is None:
             assert self.balls == before
         else:
@@ -423,8 +476,7 @@ class _AuditedEngine(_Engine):
 
 
 @st.composite
-def geodetic_partials(draw, cases=((2, 2, 2, True), (2, 2, 2, False), (2, 2, 3, True),
-                                   (2, 3, 2, True), (3, 2, 1, True))):
+def geodetic_partials(draw, cases=PARTIAL_CASES):
     """A search's parameters and a partial on its seed tree that basic pruning keeps.
 
     cases lists the (d, k, epsilon, diregular) to draw from.
@@ -444,7 +496,7 @@ def geodetic_partials(draw, cases=((2, 2, 2, True), (2, 2, 2, False), (2, 2, 3, 
         if not targets:
             continue
         out[v].append(draw(st.sampled_from(targets)))
-        if prune(Digraph(n, out), params, "basic"):
+        if _oracle_cuts(Digraph(n, out), params, "basic"):
             out[v].pop()
     return params, Digraph(n, out)
 
@@ -453,14 +505,16 @@ class TestIncrementalCheck:
     @given(geodetic_partials(), st.sampled_from(["basic", "full"]))
     @settings(max_examples=100, deadline=None)
     def test_matches_full_rescan(self, case, pruning):
-        # every arc the engine lands from a random partial: its verdict is
-        # prune's, its stored balls are fresh k-balls, and the undo restores them
+        # every arc the engine lands, the start partial's first: its verdict
+        # is the oracle's, its stored balls are the BFS k-balls, and the
+        # undo restores them
         params, partial = case
         engine = _AuditedEngine(params, pruning, partial, budget=150)
-        assume(engine.check_state())  # the global cuts may drop what basic kept
+        assume(engine.enter())  # the global cuts may drop what basic kept
         initial = list(engine.balls)
         assert initial == engine._fresh_balls()
-        engine.run()
+        engine.checked = 0
+        engine._dfs(0, 0)
         assert engine.balls == initial
         assert engine.checked == engine.nodes
 
@@ -514,12 +568,6 @@ class _TwinAuditEngine(_Engine):
         assert failed == [], (g.out, failed)
         self.kept += 1
         self.pairs += pairs
-
-    def check_state(self):
-        kept = super().check_state()
-        if kept:
-            self._audit()
-        return kept
 
     def _check_after(self, v, w):
         undo = super()._check_after(v, w)
