@@ -21,12 +21,17 @@ from .reach import geodetic_ball, layers, reach
 def moore_bound(d: int, k: int) -> int:
     """Sum of d**i for i in 0..k, the Moore bound for out-degree d and depth k.
 
-    Exact integer arithmetic in closed form, so one power at any size.
+    Exact integer arithmetic in closed form, so one power at any size up
+    to a cap: for d > 1 a bound that may have more than 2**24 bits, as
+    estimated by (k + 1) * d.bit_length(), raises ValueError instead.
     """
     if d < 1:
         raise ValueError(f"degree must be at least 1, got {d}")
     if k < 0:
         raise ValueError(f"depth must be non-negative, got {k}")
+    if d > 1 and (k + 1) * d.bit_length() > 1 << 24:
+        raise ValueError(f"depth {_order_text(k)} is too large for degree {_order_text(d)}: "
+                         "the Moore bound may exceed 2**24 bits")
     return k + 1 if d == 1 else (d ** (k + 1) - 1) // (d - 1)
 
 

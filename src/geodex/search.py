@@ -15,12 +15,13 @@ an arc v -> w lands, only sources that reach v within k-1 steps gain
 walks, and the new ones all run through the arc: a source t steps from
 v gains w's ball of radius k-1-t, which must not meet its stored ball.
 So each arc costs one backward scan from v, one scan of w's balls and
-one AND per source, and the stored balls grow (and are undone on
-backtrack) by exactly those new ends.  A task's start partial enters
-the same way, one arc at a time from the empty digraph, so every state
-is checked by the same code.  Whenever an out-list fills, full pruning
-in diregular mode additionally runs one global cut on the stored balls:
-a vertex shut out of more than epsilon finished k-balls.
+one AND per source, and the stored balls grow by exactly those new ends.
+One method adds every arc: a task's start partial enters through it, one
+arc at a time from the empty digraph, and so does each DFS node, so every
+state is checked by the same code.  Each DFS frame snapshots the balls
+once and restores them after every child.  Whenever an out-list fills,
+full pruning in diregular mode additionally runs one global cut on the
+stored balls: a vertex shut out of more than epsilon finished k-balls.
 All cuts are sound: they only fire on partials no valid completion can
 extend.
 """
@@ -87,12 +88,15 @@ def seed_tree(params: SearchParams) -> Digraph:
 
 
 class _Engine:
-    """Depth-first generator over one subtree, with undo.
+    """Depth-first generator over one subtree.
 
     The partial digraph is held only as bitsets: out_mask[v] has bit w set
     for each decided arc v -> w and in_mask[w] bit v.  An out-list is full
     when its mask has d bits, and since it grows in increasing order its
-    next target is at least the mask's bit_length().
+    next target is at least the mask's bit_length().  balls[s] holds the
+    k-ball of s and max_used the highest vertex in use.  _land is the only
+    code that adds an arc; _dfs takes each arc back by clearing its two
+    mask bits and restoring balls and max_used from the frame's snapshot.
     """
 
     def __init__(self, params: SearchParams, pruning: str, start: Digraph,
@@ -130,60 +134,52 @@ class _Engine:
     def enter(self) -> bool:
         """Land the start partial's arcs row by row; False means cut.
 
-        Each arc goes through _check_after, as at every DFS node, so
-        balls keeps the exact k-balls.  Stopping at the first cut gives
-        the verdict of the whole partial: arcs only ever break geodecity
-        and raise in-degrees, and a ball reaches full size only on an arc
-        that fills a row, which is when the multiplicity cut runs.
+        Each arc goes through _land, as at every DFS node, and an arc into
+        a vertex of in-degree d is refused in diregular mode, as the DFS
+        never offers one.  Stopping at the first cut gives the verdict of
+        the whole partial: arcs only ever break geodecity and raise
+        in-degrees, and a ball reaches full size only on an arc that fills
+        a row, which is when the multiplicity cut runs.
         """
-        out_mask, in_mask = self.out_mask, self.in_mask
-        for v, targets in enumerate(self.start.out):
-            for w in targets:
-                out_mask[v] |= 1 << w
-                in_mask[w] |= 1 << v
-                self.max_used = max(self.max_used, v, w)
-                if self.diregular and in_mask[w].bit_count() > self.d:
-                    return False
-                if self._check_after(v, w) is None:
-                    return False
+        for v, w in self.start.arcs():
+            if (self.diregular and self.in_mask[w].bit_count() >= self.d) or not self._land(v, w):
+                return False
         return True
 
-    def _check_after(self, v: int, w: int) -> list[tuple[int, int]] | None:
-        """Test the walks through the new arc v -> w; None means cut.
+    def _land(self, v: int, w: int) -> bool:
+        """Add the arc v -> w to the state and test the walks through it; False means cut.
 
-        The partial was k-geodetic before the arc, so a source s at
-        backward distance t from v reaches v by one walk, and its new
-        walks follow that walk and the arc, then at most k-1-t steps
-        from w.  Their ends must miss balls[s], which holds s itself, so
-        closed walks count.  Walks from w can only meet each other by
-        returning to w, which the source w then fails too; the scan of
-        w's balls stops early for that case.  On success each such
-        balls[s] gains the new ends and the (s, old ball) pairs are
-        returned for undo; on a cut the balls are left as they were.
+        The only code that sets a mask bit or grows a ball.  The partial
+        was k-geodetic before the arc, so a source s at backward distance
+        t from v reaches v by one walk, and its new walks follow that walk
+        and the arc, then at most k-1-t steps from w.  Their ends must miss
+        balls[s], which holds s itself, so closed walks count.  Walks from
+        w can only meet each other by returning to w, which the source w
+        then fails too; the scan of w's balls stops early for that case.
+        Each such balls[s] gains the new ends.  A cut returns at once and
+        leaves the state as it stands; the caller restores it.
         """
-        k, balls = self.k, self.balls
-        ahead = geodetic_balls(self.out_mask, w, k - 1)
+        out_mask, balls = self.out_mask, self.balls
+        out_mask[v] |= 1 << w
+        self.in_mask[w] |= 1 << v
+        if self.max_used < w:
+            self.max_used = w
+        if self.max_used < v:
+            self.max_used = v
+        ahead = geodetic_balls(out_mask, w, self.k - 1)
         if not ahead:
-            return None
-        undo = []
-        for layer, new in zip(layers(self.in_mask, v, k - 1), reversed(ahead)):
+            return False
+        for layer, new in zip(layers(self.in_mask, v, self.k - 1), reversed(ahead)):
             while layer:
                 b = layer & -layer
                 layer ^= b
                 s = b.bit_length() - 1
-                old = balls[s]
-                if old & new:
-                    for s, old in undo:
-                        balls[s] = old
-                    return None
-                undo.append((s, old))
-                balls[s] = old | new
-        if self.mult_mode and self.out_mask[v].bit_count() == self.d:
-            if not self._global_cuts():
-                for s, old in undo:
-                    balls[s] = old
-                return None
-        return undo
+                if balls[s] & new:
+                    return False
+                balls[s] |= new
+        if self.mult_mode and out_mask[v].bit_count() == self.d:
+            return self._global_cuts()
+        return True
 
     def _global_cuts(self) -> bool:
         """False when a vertex is an outlier of more than epsilon finished balls.
@@ -246,32 +242,23 @@ class _Engine:
         if self.split_at is not None and depth == self.split_at:
             self.tasks.append(Digraph(self.n, self._rows()))
             return
-        out_mask, in_mask = self.out_mask, self.in_mask
+        out_mask, in_mask, balls = self.out_mask, self.in_mask, self.balls
         hi = min(self.n - 1, max(self.max_used, v) + 1)
-        d, balls = self.d, self.balls
+        saved, saved_max = balls[:], self.max_used
         for w in range(out_mask[v].bit_length(), hi + 1):
             if w == v:
                 continue
-            if self.diregular and in_mask[w].bit_count() >= d:
+            if self.diregular and in_mask[w].bit_count() >= self.d:
                 continue
             if self.budget is not None and self.nodes >= self.budget:
                 self.stopped = True
                 return
             self.nodes += 1
-            saved_max = self.max_used
-            out_mask[v] |= 1 << w
-            in_mask[w] |= 1 << v
-            if self.max_used < w:
-                self.max_used = w
-            if self.max_used < v:
-                self.max_used = v
-            undo = self._check_after(v, w)
-            if undo is not None:
+            if self._land(v, w):
                 self._dfs(v, depth + 1)
-                for s, old in undo:
-                    balls[s] = old
             out_mask[v] ^= 1 << w
             in_mask[w] ^= 1 << v
+            balls[:] = saved
             self.max_used = saved_max
             if self.stopped:
                 return
@@ -334,11 +321,11 @@ class Checkpoint:
                 tasks: list[Digraph]) -> dict[int, tuple[dict[bytes, Digraph], int]]:
         """Read and check the whole file; returns (results, nodes) by task index.
 
-        Call it before save and flush.  A missing file is a fresh start,
-        written at once, so that a path that cannot be written fails before
-        any task runs.  Every restored result must verify and be stored
-        under its own canonical form.  A fault raises ValueError and leaves
-        the file as it was.
+        Call it before save and flush.  A missing file is a fresh start.
+        Once read, the file is rewritten at once, so that a path that cannot
+        be written fails before any task runs.  Every restored result must
+        verify and be stored under its own canonical form.  A fault raises
+        ValueError and leaves the file as it was.
         """
         shape = json.dumps([task.out for task in tasks]).encode()
         self.total = len(tasks)
@@ -350,10 +337,7 @@ class Checkpoint:
             with open(self.path, "r", encoding="utf-8") as fh:
                 saved = json.load(fh)
         except FileNotFoundError:
-            try:
-                self.flush()
-            except OSError as exc:
-                raise self._bad(f"cannot write it: {exc}") from None
+            self.flush()
             return {}
         except (OSError, ValueError) as exc:
             raise self._bad(f"cannot read it: {exc}") from None
@@ -383,6 +367,7 @@ class Checkpoint:
                     raise self._bad(f"task {name}: result {data.hex()} is not its digraph's canonical form")
             restored[int(name)] = results, record["nodes"]
         self.done = saved["done"]
+        self.flush()
         print(f"resuming: {len(self.done)} tasks already finished", file=self.log)
         return restored
 
@@ -395,14 +380,20 @@ class Checkpoint:
         print(f"progress tasks={len(self.done)}/{self.total} nodes={explored}", file=self.log)
 
     def flush(self, exhausted: bool = False) -> None:
-        """Rewrite the file; search() flushes even if no task ran, so a rerun replays."""
+        """Rewrite the file; search() flushes even if no task ran, so a rerun replays.
+
+        A file that cannot be written raises ValueError.
+        """
         if exhausted:
             print(f"progress tasks={len(self.done)}/{self.total} budget exhausted", file=self.log)
         tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"key": self.key, "done": self.done}, fh)
-            fh.write("\n")
-        os.replace(tmp, self.path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump({"key": self.key, "done": self.done}, fh)
+                fh.write("\n")
+            os.replace(tmp, self.path)
+        except OSError as exc:
+            raise self._bad(f"cannot write it: {exc}") from None
 
 
 def search(params: SearchParams, jobs: int = 1, pruning: str = "full",

@@ -1,5 +1,6 @@
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -8,6 +9,14 @@ import pytest
 from geodex import Digraph, canonical_form, catalog_a, catalog_b, read_digraph, write_digraph
 from geodex.catalog import MAX_ORDER
 from geodex.cli import run
+
+
+_TOO_DEEP = ("error: depth 10000000000 is too large for degree 2: "
+             "the Moore bound may exceed 2**24 bits\n")
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def invoke(*argv):
@@ -450,6 +459,52 @@ class TestWriteFailures:
         assert err.startswith(f"error: checkpoint {cp}: cannot write it: ")
         assert err.count("\n") == 1
 
+    def test_existing_checkpoint_that_cannot_be_written_fails_before_any_task(self, tmp_path,
+                                                                              monkeypatch):
+        # root ignores file modes, so the write fails where the file is replaced
+        import importlib
+
+        search_mod = importlib.import_module("geodex.search")
+        cp = tmp_path / "cp.json"
+        assert invoke(*SEARCH_222, "--budget", "1500", "--checkpoint", str(cp))[0] == 1
+        before = cp.read_bytes()
+
+        def no_task(*args, **kwargs):
+            raise AssertionError("a task ran")
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+
+        monkeypatch.setattr(search_mod, "run_task", no_task)
+        monkeypatch.setattr(search_mod.os, "replace", refuse)
+        code, out, err = invoke(*SEARCH_222, "--checkpoint", str(cp))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: checkpoint {cp}: cannot write it: ")
+        assert err.count("\n") == 1
+        assert cp.read_bytes() == before
+
+    def test_checkpoint_write_failing_mid_run_exits_2(self, tmp_path, monkeypatch):
+        import importlib
+
+        search_mod = importlib.import_module("geodex.search")
+        real_replace = search_mod.os.replace
+        writes = []
+
+        def fail_after_two(src, dst):
+            writes.append(dst)
+            if len(writes) > 2:
+                raise OSError(28, "No space left on device", dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(search_mod.os, "replace", fail_after_two)
+        cp = tmp_path / "cp.json"
+        code, out, err = invoke(*SEARCH_222, "--checkpoint", str(cp))
+        assert (code, out) == (2, "")
+        assert len(writes) == 3  # the fresh file, task 0, then the failed task 1
+        assert err.splitlines()[-1].startswith(f"error: checkpoint {cp}: cannot write it: ")
+        assert "Traceback" not in err
+        assert len(json.loads(cp.read_text())["done"]) == 1
+
     def test_fresh_checkpoint_is_written_before_any_task(self, tmp_path):
         cp = tmp_path / "cp.json"
         code, out, _ = invoke(*SEARCH_222, "--budget", "0", "--checkpoint", str(cp))
@@ -524,14 +579,23 @@ class TestProcessLevel:
          ["order 9 expected ~2**1000001 FAIL\n", "geodetic FAIL pair 0 0 walks 0 and 0,1,3,0\n",
           "verdict FAIL\n"]),
         (["cayley-a4", "--k", "1000000"], 1, ["witnesses=0\n"]),
-    ], ids=["search", "search-without-long-run", "verify", "cayley-a4"])
+        (["moore", "2", "10000000000"], 2, [_TOO_DEEP]),
+        (["search", "--d", "2", "--k", "10000000000", "--excess", "2"], 2, [_TOO_DEEP]),
+        (["verify", "A.dg", "--d", "2", "--k", "10000000000", "--excess", "2"], 2, [_TOO_DEEP]),
+        (["cayley-a4", "--k", "10000000000"], 2, [_TOO_DEEP]),
+    ], ids=["search", "search-without-long-run", "verify", "cayley-a4", "moore-refused",
+            "search-refused", "verify-refused", "cayley-a4-refused"])
     def test_huge_depth_returns_at_once(self, a_path, argv, code, shown):
         # moore_bound(2, 10**6) has about 300,000 digits, too many for str(),
         # so messages show it as ~2**e; summing its terms instead of using
-        # the closed form took 20 s already at k = 10**5
+        # the closed form took 20 s already at k = 10**5.  At k = 10**10 the
+        # power alone would take 1.25 GB, so moore_bound refuses it; the
+        # 1 GiB address-space cap keeps a build without that refusal from
+        # taking the memory of the whole test run
         argv = [a_path if arg == "A.dg" else arg for arg in argv]
         r = subprocess.run([sys.executable, "-m", "geodex", *argv],
-                           capture_output=True, text=True, timeout=10)
+                           capture_output=True, text=True, timeout=10,
+                           preexec_fn=_cap_address_space)
         assert r.returncode == code
         assert "Traceback" not in r.stderr
         for text in shown:

@@ -39,6 +39,12 @@ class TestMooreBound:
             moore_bound(0, 2)
         with pytest.raises(ValueError):
             moore_bound(2, -1)
+        # (k + 1) * d.bit_length() bits is the estimate, capped at 2**24;
+        # degree 1 is k + 1 at any depth
+        with pytest.raises(ValueError, match=r"depth 8388608 is too large for degree 2"):
+            moore_bound(2, 2 ** 23)
+        assert moore_bound(2, 2 ** 23 - 1).bit_length() == 2 ** 23
+        assert moore_bound(1, 10 ** 10) == 10 ** 10 + 1
 
     @given(st.integers(1, 5), st.integers(1, 6))
     def test_recurrence(self, d, k):

@@ -442,7 +442,7 @@ class TestEmittedInvariants:
 
 
 class _AuditedEngine(_Engine):
-    """The engine with its per-arc check, its stored balls and its undo audited at every arc."""
+    """The engine audited at every arc it lands and at every DFS frame it restores."""
 
     def __init__(self, params, pruning, start, budget):
         super().__init__(params, pruning, start, budget)
@@ -454,17 +454,14 @@ class _AuditedEngine(_Engine):
         return [sum(1 << x for x, t in bfs_distances(g, u).items() if t <= self.k)
                 for u in range(self.n)]
 
-    def _check_after(self, v, w):
-        before = list(self.balls)
-        undo = super()._check_after(v, w)
+    def _land(self, v, w):
+        kept = super()._land(v, w)
         self.checked += 1
         partial = Digraph(self.n, self._rows())
-        assert (undo is not None) == (not _oracle_cuts(partial, self.params, self.pruning))
-        if undo is None:
-            assert self.balls == before
-        else:
+        assert kept == (not _oracle_cuts(partial, self.params, self.pruning))
+        if kept:
             assert self.balls == self._fresh_balls()
-        return undo
+        return kept
 
     def _state(self):
         return list(self.balls), list(self.out_mask), list(self.in_mask), self.max_used
@@ -506,8 +503,8 @@ class TestIncrementalCheck:
     @settings(max_examples=100, deadline=None)
     def test_matches_full_rescan(self, case, pruning):
         # every arc the engine lands, the start partial's first: its verdict
-        # is the oracle's, its stored balls are the BFS k-balls, and the
-        # undo restores them
+        # is the oracle's, the stored balls it keeps are the BFS k-balls,
+        # and each frame's restore gives them back
         params, partial = case
         engine = _AuditedEngine(params, pruning, partial, budget=150)
         assume(engine.enter())  # the global cuts may drop what basic kept
@@ -569,11 +566,11 @@ class _TwinAuditEngine(_Engine):
         self.kept += 1
         self.pairs += pairs
 
-    def _check_after(self, v, w):
-        undo = super()._check_after(v, w)
-        if undo is not None:
+    def _land(self, v, w):
+        kept = super()._land(v, w)
+        if kept:
             self._audit()
-        return undo
+        return kept
 
 
 class TestTwinLemmaHolds:
