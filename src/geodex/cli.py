@@ -52,7 +52,10 @@ def _params_from(args) -> SearchParams:
 
 
 def _cmd_moore(args, out, err) -> int:
-    print(moore_bound(args.d, args.k), file=out)
+    bound = _order_text(moore_bound(args.d, args.k))
+    if bound.startswith("~"):
+        raise ValueError(f"the Moore bound {bound} has too many decimal digits to print")
+    print(bound, file=out)
     return 0
 
 

@@ -110,7 +110,14 @@ def _masks(lists: tuple[tuple[int, ...], ...]) -> list[int]:
 
 
 def _members(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(v for v in range(n) if mask >> v & 1)
+    """The set bits of mask below bit n, lowest first."""
+    mask &= (1 << n) - 1
+    found = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        found.append(low.bit_length() - 1)
+    return tuple(found)
 
 
 def distance_layer(g: Digraph, u: int, l: int) -> tuple[int, ...]:

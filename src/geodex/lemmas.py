@@ -97,24 +97,21 @@ def check_lemma_identical_neighbourhoods(g: Digraph, k: int) -> LemmaCheck:
     if reason:
         return LemmaCheck(applicable=False, holds=None, reason=reason)
     outliers = [set(outlier_set(g, u, k)) for u in range(g.n)]
-    pairs = []
+    # every out-list has 2 vertices, so sharing 2 out-neighbours is being twins
+    pairs = [(p.u, p.v) for p in common_out_pairs(g, 2)]
     violations = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.out[u] != g.out[v]:
-                continue
-            pairs.append((u, v))
-            a, b = g.out[u]
-            if a not in outliers[b]:
-                violations.append(f"pair ({u},{v}): {a} not an outlier of {b}")
-            if b not in outliers[a]:
-                violations.append(f"pair ({u},{v}): {b} not an outlier of {a}")
-            if v not in outliers[u]:
-                violations.append(f"pair ({u},{v}): {v} not an outlier of {u}")
-            if u not in outliers[v]:
-                violations.append(f"pair ({u},{v}): {u} not an outlier of {v}")
-            if outliers[u] - {v} != outliers[v] - {u}:
-                violations.append(f"pair ({u},{v}): outlier sets differ outside the pair")
+    for u, v in pairs:
+        a, b = g.out[u]
+        if a not in outliers[b]:
+            violations.append(f"pair ({u},{v}): {a} not an outlier of {b}")
+        if b not in outliers[a]:
+            violations.append(f"pair ({u},{v}): {b} not an outlier of {a}")
+        if v not in outliers[u]:
+            violations.append(f"pair ({u},{v}): {v} not an outlier of {u}")
+        if u not in outliers[v]:
+            violations.append(f"pair ({u},{v}): {u} not an outlier of {v}")
+        if outliers[u] - {v} != outliers[v] - {u}:
+            violations.append(f"pair ({u},{v}): outlier sets differ outside the pair")
     return LemmaCheck(
         applicable=True,
         holds=not violations,

@@ -8,7 +8,7 @@ Later targets must keep each out-list strictly increasing, and a brand
 new vertex may only enter as the smallest unused index.  Every digraph
 with out-degree exactly d has a relabeling that the grammar produces, so
 nothing is lost; duplicates that survive are removed by canonical form,
-and only a leaf of a class new to its task is verified.
+and each class is verified once per search process.
 
 Pruning is incremental.  The engine stores every vertex's k-ball.  After
 an arc v -> w lands, only sources that reach v within k-1 steps gain
@@ -29,6 +29,7 @@ extend.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import os
@@ -39,16 +40,18 @@ from typing import TextIO
 
 from .canon import CanonicalForm, canonical_form
 from .catalog import MAX_ORDER, read_digraph, write_digraph
-from .core import Digraph, SearchParams, _order_text, moore_bound, verify
+from .core import Digraph, SearchParams, _members, _order_text, moore_bound, verify
 from .reach import geodetic_balls, layers
 
 SPLIT_SLOTS = 4
 CHECKPOINT_VERSION = 2
 
 # The canon memo (see canonical_form) that every leaf of this process goes
-# through.  split_tasks empties it, so each search starts with it empty,
-# and search() empties it on return; a pool worker's copy ends with the pool.
+# through, and the (params, form) pairs whose class has passed verify.
+# split_tasks empties both, so each search starts with them empty, and
+# search() empties them on return; a pool worker's copies end with the pool.
 _memo: dict = {}
+_verified: set = set()
 
 
 @dataclass(frozen=True)
@@ -212,27 +215,22 @@ class _Engine:
             v += 1
         return v if v < self.n else None
 
-    def _rows(self) -> list[list[int]]:
-        """The decided out-lists, decoded from out_mask one set bit at a time."""
-        rows = []
-        for m in self.out_mask:
-            row = []
-            while m:
-                b = m & -m
-                m ^= b
-                row.append(b.bit_length() - 1)
-            rows.append(row)
-        return rows
+    def _rows(self) -> list[tuple[int, ...]]:
+        """The decided out-lists, decoded from out_mask."""
+        return [_members(m, self.n) for m in self.out_mask]
 
     def _emit(self) -> None:
-        """Keep a leaf whose class is new, verified; isomorphs pass or fail verify together."""
+        """Keep the task's first leaf of each class, and verify each class once per process.
+
+        Once is enough, because isomorphic digraphs pass or fail verify together.
+        """
         g = Digraph(self.n, self._rows())
         form = canonical_form(g, _memo).data
-        if form in self.results:
-            return
-        if not verify(g, self.params).ok:
-            raise RuntimeError("internal error: generated digraph fails verification")
-        self.results[form] = g
+        if (self.params, form) not in _verified:
+            if not verify(g, self.params).ok:
+                raise RuntimeError("internal error: generated digraph fails verification")
+            _verified.add((self.params, form))
+        self.results.setdefault(form, g)
 
     def _dfs(self, hint: int, depth: int) -> None:
         v = self._next_open(hint)
@@ -275,9 +273,11 @@ def split_tasks(params: SearchParams, pruning: str = "full") -> tuple[list[Digra
     Returns the surviving partials as independent tasks plus a stats dict
     with nodes, results found below the split depth, and a stopped flag,
     which stays False because the split has no node budget.  It empties
-    the canon memo first, since every search starts with its split.
+    the canon memo and the verified classes first, since every search
+    starts with its split.
     """
     _memo.clear()
+    _verified.clear()
     engine = _Engine(params, pruning, seed_tree(params), budget=None)
     engine.run(split_at=SPLIT_SLOTS)
     stats = {
@@ -379,13 +379,11 @@ class Checkpoint:
         self.flush()
         print(f"progress tasks={len(self.done)}/{self.total} nodes={explored}", file=self.log)
 
-    def flush(self, exhausted: bool = False) -> None:
-        """Rewrite the file; search() flushes even if no task ran, so a rerun replays.
+    def flush(self) -> None:
+        """Rewrite the file through PATH.tmp; restore and every save call it.
 
-        A file that cannot be written raises ValueError.
+        A file that cannot be written raises ValueError and leaves no PATH.tmp.
         """
-        if exhausted:
-            print(f"progress tasks={len(self.done)}/{self.total} budget exhausted", file=self.log)
         tmp = self.path + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
@@ -393,6 +391,8 @@ class Checkpoint:
                 fh.write("\n")
             os.replace(tmp, self.path)
         except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
             raise self._bad(f"cannot write it: {exc}") from None
 
 
@@ -410,9 +410,9 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
     classes.  A checkpoint restores finished tasks, which cost no budget,
     and saves each accepted task as it lands.  So the outcome is identical
     for any jobs, with or without a checkpoint.  The leaves of one call
-    share the canon memo of each process, which is emptied on return.  A
-    run that stops early cancels the pool's queued tasks and waits for the
-    running ones; no worker is killed.
+    share the canon memo and verified classes of each process, which are
+    emptied on return.  A run that stops early cancels the pool's queued
+    tasks and waits for the running ones; no worker is killed.
     """
     if jobs < 1:
         raise ValueError(f"worker count must be at least 1, got {jobs}")
@@ -457,9 +457,11 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
         if pool is not None:
             pool.shutdown(cancel_futures=True)
         _memo.clear()
-    if checkpoint:
-        checkpoint.flush(exhausted)
-        if exhausted and len(checkpoint.done) == len(restored):
+        _verified.clear()
+    if checkpoint and exhausted:
+        print(f"progress tasks={len(checkpoint.done)}/{checkpoint.total} budget exhausted",
+              file=checkpoint.log)
+        if len(checkpoint.done) == len(restored):
             print(f"stalled: task {idx} needs more than the {max(left, 0)} nodes left after "
                   "the split; rerunning with this budget cannot progress", file=checkpoint.log)
     ordered = sorted(merged.items())

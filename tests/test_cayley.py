@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from geodex import (
@@ -9,7 +11,20 @@ from geodex import (
     search_cayley_a4,
     verify,
 )
-from geodex.cayley import _compose, _generates_a4
+from geodex.cayley import _compose
+from oracles import bfs_distances
+
+
+def _generated(s, t):
+    """The subgroup of A4 that s and t generate, closed under composition by hand."""
+    group, frontier = {s, t}, [s, t]
+    while frontier:
+        x = frontier.pop()
+        for z in (_compose(x, s), _compose(x, t)):
+            if z not in group:
+                group.add(z)
+                frontier.append(z)
+    return group
 
 
 class TestA4Elements:
@@ -68,8 +83,17 @@ class TestSearch:
             assert verify(g, params).ok
 
     def test_witness_generators_generate(self):
+        # every vertex is a product of generators: a walk from the identity, vertex 0
         for w in search_cayley_a4(k=2, epsilon=5):
-            assert _generates_a4(*w.generators)
+            assert len(bfs_distances(w.digraph, 0)) == 12
+
+    def test_keeps_exactly_the_generating_pairs(self):
+        # at k = 1 only a loop breaks geodecity, so 55 pairs without the
+        # identity pass it; only the generation filter cuts them to 48
+        generating = [pair for pair in combinations(a4_elements(), 2)
+                      if _generated(*pair) == set(a4_elements())]
+        assert len(generating) == 48
+        assert [w.generators for w in search_cayley_a4(k=1, epsilon=9)] == generating
 
     def test_generators_are_unordered_pairs(self):
         seen = {frozenset(w.generators) for w in search_cayley_a4(k=2, epsilon=5)}

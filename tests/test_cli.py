@@ -56,6 +56,14 @@ class TestMoore:
     def test_non_integer_is_usage_error(self):
         assert invoke("moore", "x", "2")[0] == 2
 
+    def test_bound_too_long_to_print_is_refused(self):
+        # 2**1000001 - 1 has about 301,000 digits, past Python's 4,300 for str()
+        assert invoke("moore", "2", "1000000") == (
+            2, "", "error: the Moore bound ~2**1000000 has too many decimal digits to print\n")
+
+    def test_bound_of_4215_digits_prints_in_full(self):
+        assert invoke("moore", "2", "14000") == (0, f"{2 ** 14001 - 1}\n", "")
+
 
 class TestVerify:
     def test_catalog_a_passes(self, a_path):
@@ -279,6 +287,24 @@ class TestSearchCheckpoint:
         assert first[0] == again[0] == 0
         assert first[1] == again[1]
 
+    def test_rerun_of_a_finished_checkpoint_writes_it_once(self, tmp_path, monkeypatch):
+        import importlib
+
+        search_mod = importlib.import_module("geodex.search")
+        cp = tmp_path / "cp.json"
+        assert invoke(*SEARCH_222, "--checkpoint", str(cp))[0] == 0
+        before = cp.read_bytes()
+        real_replace, writes = search_mod.os.replace, []
+
+        def counting(src, dst):
+            writes.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(search_mod.os, "replace", counting)
+        assert invoke(*SEARCH_222, "--checkpoint", str(cp))[0] == 0
+        assert writes == [str(cp)]  # once read, never again: no task changed it
+        assert cp.read_bytes() == before
+
     def test_mismatched_params_rejected(self, tmp_path):
         cp = tmp_path / "cp.json"
         invoke("search", "--d", "2", "--k", "1", "--excess", "0", "--diregular",
@@ -303,8 +329,10 @@ class TestSearchCheckpoint:
             if stalled:
                 break
         assert stalled
-        assert err.splitlines()[-1] == ("stalled: task 33 needs more than the 2837 nodes left "
-                                        "after the split; rerunning with this budget cannot progress")
+        assert err.splitlines()[-2:] == [
+            f"progress tasks={len(json.loads(cp.read_text())['done'])}/38 budget exhausted",
+            "stalled: task 33 needs more than the 2837 nodes left "
+            "after the split; rerunning with this budget cannot progress"]
         assert out.endswith("results=7 nodes=29206 complete=false\n")
         assert invoke(*argv) == (code, out, err)
         assert cp.read_bytes() == before
@@ -482,6 +510,7 @@ class TestWriteFailures:
         assert err.startswith(f"error: checkpoint {cp}: cannot write it: ")
         assert err.count("\n") == 1
         assert cp.read_bytes() == before
+        assert not (tmp_path / "cp.json.tmp").exists()
 
     def test_checkpoint_write_failing_mid_run_exits_2(self, tmp_path, monkeypatch):
         import importlib
@@ -504,6 +533,7 @@ class TestWriteFailures:
         assert err.splitlines()[-1].startswith(f"error: checkpoint {cp}: cannot write it: ")
         assert "Traceback" not in err
         assert len(json.loads(cp.read_text())["done"]) == 1
+        assert not (tmp_path / "cp.json.tmp").exists()
 
     def test_fresh_checkpoint_is_written_before_any_task(self, tmp_path):
         cp = tmp_path / "cp.json"

@@ -300,6 +300,38 @@ class TestCanonMemo:
         assert (len(serial.results), serial.nodes_explored) == (7, 39559)
 
 
+class TestVerifyOnce:
+    @pytest.mark.parametrize("params,classes", [(P222, 2), (SearchParams(2, 2, 3, True), 7)],
+                             ids=["2,2,+2", "2,2,+3"])
+    def test_each_class_is_verified_once_per_search(self, monkeypatch, params, classes):
+        import importlib
+
+        engine = importlib.import_module("geodex.search")
+        real, verified = engine.verify, []
+
+        def counting(g, p):
+            verified.append(canonical_form(g).data)
+            return real(g, p)
+
+        monkeypatch.setattr(engine, "verify", counting)
+        for _ in range(2):  # the second search verifies its classes again
+            verified.clear()
+            out = search(params)
+            assert sorted(verified) == [r.form.data for r in out.results]
+            assert len(out.results) == classes
+
+    def test_a_class_that_fails_verify_is_an_internal_error(self, monkeypatch):
+        import importlib
+
+        engine = importlib.import_module("geodex.search")
+        real = engine.verify
+        # one more vertex than the search builds, so every report fails on order
+        monkeypatch.setattr(engine, "verify", lambda g, p: real(g, SearchParams(
+            p.d, p.k, p.epsilon + 1, p.diregular)))
+        with pytest.raises(RuntimeError, match="internal error"):
+            search(P222)
+
+
 class TestBudgets:
     def test_budget_marks_incomplete(self):
         full = search(P222).nodes_explored
