@@ -14,14 +14,19 @@ Pruning is incremental.  The engine stores every vertex's k-ball.  After
 an arc v -> w lands, only sources that reach v within k-1 steps gain
 walks, and the new ones all run through the arc: a source t steps from
 v gains w's ball of radius k-1-t, which must not meet its stored ball.
-So each arc costs one backward scan from v, one scan of w's balls and
-one AND per source, and the stored balls grow by exactly those new ends.
-One method adds every arc: a task's start partial enters through it, one
-arc at a time from the empty digraph, and so does each DFS node, so every
-state is checked by the same code.  Each DFS frame snapshots the balls
-once and restores them after every child.  Whenever an out-list fills,
-full pruning in diregular mode additionally runs one global cut on the
-stored balls: a vertex shut out of more than epsilon finished k-balls.
+No arc out of v moves v's backward layers, so a DFS frame scans them
+once and ORs each layer's stored balls into one set per layer.  Each
+arc then costs one forward scan of w's balls and k ANDs against those
+sets, and only a kept arc touches the sources, whose stored balls grow
+by exactly the new ends.  One method adds every arc: a task's start
+partial enters through it, one arc at a time from the empty digraph,
+and so does each DFS node, so every state is checked by the same code.
+Each DFS frame snapshots the balls once and restores them after every
+child, and the frames sit on an explicit stack, so Python's recursion
+limit does not bound the depth of a search.  Whenever an out-list
+fills, full pruning in diregular mode additionally runs one global cut
+on the stored balls: a vertex shut out of more than epsilon finished
+k-balls.
 All cuts are sound: they only fire on partials no valid completion can
 extend.
 """
@@ -98,8 +103,11 @@ class _Engine:
     when its mask has d bits, and since it grows in increasing order its
     next target is at least the mask's bit_length().  balls[s] holds the
     k-ball of s and max_used the highest vertex in use.  _land is the only
-    code that adds an arc; _dfs takes each arc back by clearing its two
-    mask bits and restoring balls and max_used from the frame's snapshot.
+    code that adds an arc, and it checks the arc against the data _frame
+    builds for its tail: one backward scan per frame, then per arc one
+    forward scan and k ANDs, with the sources touched only on a kept arc.
+    _dfs takes each arc back by clearing its two mask bits and restoring
+    balls and max_used from the frame's snapshot.
     """
 
     def __init__(self, params: SearchParams, pruning: str, start: Digraph,
@@ -137,31 +145,64 @@ class _Engine:
     def enter(self) -> bool:
         """Land the start partial's arcs row by row; False means cut.
 
-        Each arc goes through _land, as at every DFS node, and an arc into
-        a vertex of in-degree d is refused in diregular mode, as the DFS
-        never offers one.  Stopping at the first cut gives the verdict of
-        the whole partial: arcs only ever break geodecity and raise
-        in-degrees, and a ball reaches full size only on an arc that fills
-        a row, which is when the multiplicity cut runs.
+        Each arc goes through _land, as at every DFS node, with a frame
+        built for it alone, since the state changes from one arc to the
+        next.  An arc into a vertex of in-degree d is refused in diregular
+        mode, as the DFS never offers one.  Stopping at the first cut gives
+        the verdict of the whole partial: arcs only ever break geodecity
+        and raise in-degrees, and a ball reaches full size only on an arc
+        that fills a row, which is when the multiplicity cut runs.
         """
         for v, w in self.start.arcs():
-            if (self.diregular and self.in_mask[w].bit_count() >= self.d) or not self._land(v, w):
+            if self.diregular and self.in_mask[w].bit_count() >= self.d:
+                return False
+            if not self._land(v, w, self._frame(v)):
                 return False
         return True
 
-    def _land(self, v: int, w: int) -> bool:
+    def _frame(self, v: int) -> tuple[list[int], list[int], int]:
+        """The data every arc out of v is checked against, from the current state.
+
+        Returns v's backward layers L_t for t < k, the union U_t of the
+        stored balls of each layer's sources, and the union U of all U_t.
+        Landing an arc out of v leaves the layers alone, since v is their
+        depth 0, and a DFS frame restores the balls after every child, so
+        one frame serves all of v's candidates.
+        """
+        balls = self.balls
+        found = layers(self.in_mask, v, self.k - 1)
+        unions = []
+        union = 0
+        for layer in found:
+            u = 0
+            while layer:
+                b = layer & -layer
+                layer ^= b
+                u |= balls[b.bit_length() - 1]
+            unions.append(u)
+            union |= u
+        return found, unions, union
+
+    def _land(self, v: int, w: int, frame: tuple[list[int], list[int], int]) -> bool:
         """Add the arc v -> w to the state and test the walks through it; False means cut.
 
-        The only code that sets a mask bit or grows a ball.  The partial
-        was k-geodetic before the arc, so a source s at backward distance
-        t from v reaches v by one walk, and its new walks follow that walk
-        and the arc, then at most k-1-t steps from w.  Their ends must miss
-        balls[s], which holds s itself, so closed walks count.  Walks from
-        w can only meet each other by returning to w, which the source w
-        then fails too; the scan of w's balls stops early for that case.
-        Each such balls[s] gains the new ends.  A cut returns at once and
-        leaves the state as it stands; the caller restores it.
+        frame is _frame(v) of the state before the arc.  The only code that
+        sets a mask bit or grows a ball.  The partial was k-geodetic before
+        the arc, so a source s at backward distance t from v reaches v by
+        one walk, and its new walks follow that walk and the arc, then at
+        most k-1-t steps from w.  Their ends must miss balls[s], which
+        holds s itself, so closed walks count.  A set meets some source's
+        ball of layer t exactly when it meets their union U_t, and each
+        source's new walk of length t+1 ends at w, so w in U cuts before
+        any scan.
+        Otherwise one scan of w's balls and one AND per layer decide.  Walks
+        from w can only meet each other by returning to w, which the source
+        w then fails too; the scan stops early for that case.  Only a kept
+        arc visits the sources, and each balls[s] gains the new ends.  A cut
+        returns at once and leaves the state as it stands; the caller
+        restores it.
         """
+        found, unions, union = frame
         out_mask, balls = self.out_mask, self.balls
         out_mask[v] |= 1 << w
         self.in_mask[w] |= 1 << v
@@ -169,17 +210,20 @@ class _Engine:
             self.max_used = w
         if self.max_used < v:
             self.max_used = v
+        if union >> w & 1:
+            return False
         ahead = geodetic_balls(out_mask, w, self.k - 1)
         if not ahead:
             return False
-        for layer, new in zip(layers(self.in_mask, v, self.k - 1), reversed(ahead)):
+        ahead.reverse()
+        for u, new in zip(unions, ahead):
+            if u & new:
+                return False
+        for layer, new in zip(found, ahead):
             while layer:
                 b = layer & -layer
                 layer ^= b
-                s = b.bit_length() - 1
-                if balls[s] & new:
-                    return False
-                balls[s] |= new
+                balls[b.bit_length() - 1] |= new
         if self.mult_mode and out_mask[v].bit_count() == self.d:
             return self._global_cuts()
         return True
@@ -233,32 +277,68 @@ class _Engine:
         self.results.setdefault(form, g)
 
     def _dfs(self, hint: int, depth: int) -> None:
-        v = self._next_open(hint)
-        if v is None:
-            self._emit()
-            return
-        if self.split_at is not None and depth == self.split_at:
-            self.tasks.append(Digraph(self.n, self._rows()))
-            return
+        """Walk the subtree of the current state depth first, on an explicit stack.
+
+        A frame is [v, w, hi, saved, saved_max, frame]: the open vertex v,
+        the candidate w whose arc is landed while its child is walked, the
+        last candidate hi, the snapshot of balls and max_used, and
+        _frame(v).  Candidates run in increasing order, so a node budget
+        stops at the node a recursive walk would stop at.  A frame takes
+        each arc back by clearing its two mask bits and restoring its
+        snapshot, and a stop takes back every frame's arc and restores the
+        first snapshot, so the walk leaves the state as it found it.
+        """
+        n, d, diregular, budget = self.n, self.d, self.diregular, self.budget
         out_mask, in_mask, balls = self.out_mask, self.in_mask, self.balls
-        hi = min(self.n - 1, max(self.max_used, v) + 1)
-        saved, saved_max = balls[:], self.max_used
-        for w in range(out_mask[v].bit_length(), hi + 1):
-            if w == v:
-                continue
-            if self.diregular and in_mask[w].bit_count() >= self.d:
-                continue
-            if self.budget is not None and self.nodes >= self.budget:
-                self.stopped = True
-                return
-            self.nodes += 1
-            if self._land(v, w):
-                self._dfs(v, depth + 1)
-            out_mask[v] ^= 1 << w
-            in_mask[w] ^= 1 << v
-            balls[:] = saved
-            self.max_used = saved_max
-            if self.stopped:
+        stack: list[list] = []
+        base = depth
+        while True:
+            v = self._next_open(hint)
+            back = True  # whether the top frame has an arc to take back
+            if v is None:
+                self._emit()
+            elif depth == self.split_at:
+                self.tasks.append(Digraph(n, self._rows()))
+            else:
+                hi = min(n - 1, max(self.max_used, v) + 1)
+                stack.append([v, out_mask[v].bit_length() - 1, hi, balls[:], self.max_used,
+                              self._frame(v)])
+                back = False
+            while stack:
+                top = stack[-1]
+                v, w, hi, saved, saved_max, frame = top
+                if back:
+                    out_mask[v] ^= 1 << w
+                    in_mask[w] ^= 1 << v
+                    balls[:] = saved
+                    self.max_used = saved_max
+                for w in range(w + 1, hi + 1):
+                    if w == v:
+                        continue
+                    if diregular and in_mask[w].bit_count() >= d:
+                        continue
+                    if budget is not None and self.nodes >= budget:
+                        self.stopped = True
+                        for u, x, *_ in stack[:-1]:
+                            out_mask[u] ^= 1 << x
+                            in_mask[x] ^= 1 << u
+                        balls[:], self.max_used = stack[0][3], stack[0][4]
+                        return
+                    self.nodes += 1
+                    if self._land(v, w, frame):
+                        break
+                    out_mask[v] ^= 1 << w
+                    in_mask[w] ^= 1 << v
+                    balls[:] = saved
+                    self.max_used = saved_max
+                else:
+                    stack.pop()
+                    back = True
+                    continue
+                top[1] = w
+                hint, depth = v, base + len(stack)
+                break
+            else:
                 return
 
     def run(self, split_at: int | None = None) -> None:

@@ -1,8 +1,10 @@
 import concurrent.futures
 import hashlib
+import inspect
 import json
 import multiprocessing
 import os
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +21,7 @@ from geodex import (
     verify,
 )
 from geodex.catalog import MAX_ORDER
+from geodex.reach import layers
 from geodex.search import _Engine
 from oracles import bfs_distances, naive_diregular_search, partial_cut_oracle
 
@@ -167,6 +170,17 @@ class TestNonexistence:
         out = search(SearchParams(d=2, k=2, epsilon=1, diregular=False))
         assert out.complete
         assert out.results == ()
+
+    # the paper's theorem at k = 3, and the second nonexistence case of
+    # Miller, Miret & Sillasen ("On digraphs of excess one", DAM 2018)
+    @pytest.mark.parametrize("pruning", ["full", "basic"])
+    def test_no_diregular_2_3_excess_two_digraph(self, pruning):
+        out = search(SearchParams(d=2, k=3, epsilon=2, diregular=True), pruning=pruning)
+        assert (out.results, out.complete, out.nodes_explored) == ((), True, 232151)
+
+    def test_no_diregular_3_2_excess_one_digraph(self):
+        out = search(SearchParams(d=3, k=2, epsilon=1, diregular=True))
+        assert (out.results, out.complete, out.nodes_explored) == ((), True, 1025368)
 
     def test_moore_sanity_degree_one(self):
         out = search(SearchParams(d=1, k=2, epsilon=0, diregular=True))
@@ -373,6 +387,19 @@ class TestBudgets:
         assert out.nodes_explored == nodes
         assert not out.complete
 
+    def test_a_deep_walk_does_not_recurse(self):
+        # the first 1,000 nodes of out-regular (2,2,+200), order 207, land
+        # arcs hundreds deep without a leaf; a walk that recursed once per
+        # arc would overflow the 100 frames allowed above this test
+        params = SearchParams(d=2, k=2, epsilon=200)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            results, nodes, stopped = run_task(params, seed_tree(params), budget=1000)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (results, nodes, stopped) == ({}, 1000, True)
+
     def test_generous_budget_still_complete(self):
         out = search(SearchParams(d=2, k=2, epsilon=2, diregular=True,
                                   max_nodes=10**7))
@@ -474,20 +501,32 @@ class TestEmittedInvariants:
 
 
 class _AuditedEngine(_Engine):
-    """The engine audited at every arc it lands and at every DFS frame it restores."""
+    """The engine audited at every arc it lands and at every DFS frame it restores.
+
+    Each frame's state is recorded when _frame builds it, and every arc
+    must land on exactly that state: the frame restored all it changed
+    for the children before.
+    """
 
     def __init__(self, params, pruning, start, budget):
         super().__init__(params, pruning, start, budget)
         self.pruning = pruning
         self.checked = 0
+        self.opened = {}  # id of a frame -> (the frame, the state it was built from)
 
     def _fresh_balls(self):
         g = Digraph(self.n, self._rows())
         return [sum(1 << x for x, t in bfs_distances(g, u).items() if t <= self.k)
                 for u in range(self.n)]
 
-    def _land(self, v, w):
-        kept = super()._land(v, w)
+    def _frame(self, v):
+        frame = super()._frame(v)
+        self.opened[id(frame)] = frame, self._state()
+        return frame
+
+    def _land(self, v, w, frame):
+        assert self._state() == self.opened[id(frame)][1]
+        kept = super()._land(v, w, frame)
         self.checked += 1
         partial = Digraph(self.n, self._rows())
         assert kept == (not _oracle_cuts(partial, self.params, self.pruning))
@@ -547,6 +586,30 @@ class TestIncrementalCheck:
         assert engine.balls == initial
         assert engine.checked == engine.nodes
 
+    @given(geodetic_partials(), st.sampled_from(["basic", "full"]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_landing_an_arc_keeps_the_backward_layers(self, case, pruning, data):
+        # what lets one _frame(v) serve every arc out of v: v is the layers'
+        # depth 0, so no arc out of it, kept or cut, moves them
+        params, partial = case
+        engine = _Engine(params, pruning, partial, budget=None)
+        assume(engine.enter())
+        open_ = [v for v in range(engine.n) if engine.out_mask[v].bit_count() < params.d]
+        assume(open_)
+        v = data.draw(st.sampled_from(open_))
+        verdicts = set()
+        for w in range(engine.n):
+            if engine.out_mask[v] >> w & 1:
+                continue
+            before = layers(engine.in_mask, v, params.k - 1)
+            saved = list(engine.balls), engine.max_used
+            verdicts.add(engine._land(v, w, engine._frame(v)))
+            assert layers(engine.in_mask, v, params.k - 1) == before
+            engine.out_mask[v] ^= 1 << w
+            engine.in_mask[w] ^= 1 << v
+            engine.balls[:], engine.max_used = saved
+        assume(verdicts == {False, True})
+
     def test_whole_search_audited(self):
         engine = _AuditedEngine(P222, "full", seed_tree(P222), budget=None)
         engine.run()
@@ -598,8 +661,8 @@ class _TwinAuditEngine(_Engine):
         self.kept += 1
         self.pairs += pairs
 
-    def _land(self, v, w):
-        kept = super()._land(v, w)
+    def _land(self, v, w, frame):
+        kept = super()._land(v, w, frame)
         if kept:
             self._audit()
         return kept
