@@ -15,12 +15,18 @@ an arc v -> w lands, only sources that reach v within k-1 steps gain
 walks, and the new ones all run through the arc: a source t steps from
 v gains w's ball of radius k-1-t, which must not meet its stored ball.
 No arc out of v moves v's backward layers, so a DFS frame scans them
-once and ORs each layer's stored balls into one set per layer.  Each
-arc then costs one forward scan of w's balls and k ANDs against those
-sets, and only a kept arc touches the sources, whose stored balls grow
-by exactly the new ends.  One method adds every arc: a task's start
-partial enters through it, one arc at a time from the empty digraph,
-and so does each DFS node, so every state is checked by the same code.
+once and ORs each layer's stored balls into one set per layer, and
+their union U.  The frame also builds its candidate targets once, as
+one bitmask.  A candidate w in U would give some source a second walk
+of length at most k to w, or a closed one, so it is barred: the frame
+counts the barred candidates in bulk, by popcount, and never lands
+them.  Each live candidate, one outside U, costs one forward scan of
+w's balls and k ANDs against the layers' sets, and only a kept arc
+touches the sources, whose stored balls grow by exactly the new ends.
+One method adds every arc: a task's start partial enters through it,
+one arc at a time from the empty digraph, and so does each live DFS
+node, so every state is checked by the same code; that method's first
+test is the U test that bars a candidate.
 Each DFS frame snapshots the balls once and restores them after every
 child, and the frames sit on an explicit stack, so Python's recursion
 limit does not bound the depth of a search.  Whenever an out-list
@@ -104,10 +110,12 @@ class _Engine:
     next target is at least the mask's bit_length().  balls[s] holds the
     k-ball of s and max_used the highest vertex in use.  _land is the only
     code that adds an arc, and it checks the arc against the data _frame
-    builds for its tail: one backward scan per frame, then per arc one
-    forward scan and k ANDs, with the sources touched only on a kept arc.
-    _dfs takes each arc back by clearing its two mask bits and restoring
-    balls and max_used from the frame's snapshot.
+    builds for its tail.  The cost per frame is one backward scan and one
+    candidate mask; per barred candidate (one in the frame's union U) a
+    count and no more; per live candidate one forward scan and k ANDs,
+    with the sources touched only on a kept arc.  _dfs takes each arc
+    back by clearing its two mask bits and restoring balls and max_used
+    from the frame's snapshot.
     """
 
     def __init__(self, params: SearchParams, pruning: str, start: Digraph,
@@ -167,7 +175,8 @@ class _Engine:
         stored balls of each layer's sources, and the union U of all U_t.
         Landing an arc out of v leaves the layers alone, since v is their
         depth 0, and a DFS frame restores the balls after every child, so
-        one frame serves all of v's candidates.
+        one frame serves all of v's candidates: _dfs counts those in U
+        without landing them and lands the others against this data.
         """
         balls = self.balls
         found = layers(self.in_mask, v, self.k - 1)
@@ -194,7 +203,8 @@ class _Engine:
         holds s itself, so closed walks count.  A set meets some source's
         ball of layer t exactly when it meets their union U_t, and each
         source's new walk of length t+1 ends at w, so w in U cuts before
-        any scan.
+        any scan; _dfs counts such a w without calling this, while enter()
+        and the tests still get that verdict here.
         Otherwise one scan of w's balls and one AND per layer decide.  Walks
         from w can only meet each other by returning to w, which the source
         w then fails too; the scan stops early for that case.  Only a kept
@@ -279,14 +289,24 @@ class _Engine:
     def _dfs(self, hint: int, depth: int) -> None:
         """Walk the subtree of the current state depth first, on an explicit stack.
 
-        A frame is [v, w, hi, saved, saved_max, frame]: the open vertex v,
-        the candidate w whose arc is landed while its child is walked, the
-        last candidate hi, the snapshot of balls and max_used, and
-        _frame(v).  Candidates run in increasing order, so a node budget
-        stops at the node a recursive walk would stop at.  A frame takes
-        each arc back by clearing its two mask bits and restoring its
-        snapshot, and a stop takes back every frame's arc and restores the
-        first snapshot, so the walk leaves the state as it found it.
+        A frame is [v, w, live, barred, saved, saved_max, frame]: the open
+        vertex v, the candidate w whose arc is landed while its child is
+        walked, the live and barred candidates not yet passed, the snapshot
+        of balls and max_used, and _frame(v).  The candidates are the
+        targets from v's next slot up to one past the highest vertex in
+        use, without v and, in diregular mode, without any vertex of
+        in-degree d; none of this moves while the frame is open, so one
+        bitmask per frame holds them.  Those in the frame's union U are
+        barred, since _land would cut them on its first test, and the rest
+        are live.  Live candidates land in increasing order; the barred
+        ones below each, and those left when the frame ends, are counted
+        by one popcount.  Every candidate is a node, as if each were
+        landed in turn, so the budget stops where landing each would: before
+        a live candidate once the nodes passed reach the budget, and at a
+        frame's end once they pass it.  A frame takes each arc back by
+        clearing its two mask bits and restoring its snapshot, and a stop
+        takes back every frame's arc and restores the first snapshot, so
+        the walk leaves the state as it found it.
         """
         n, d, diregular, budget = self.n, self.d, self.diregular, self.budget
         out_mask, in_mask, balls = self.out_mask, self.in_mask, self.balls
@@ -300,46 +320,71 @@ class _Engine:
             elif depth == self.split_at:
                 self.tasks.append(Digraph(n, self._rows()))
             else:
+                lo = out_mask[v].bit_length()
                 hi = min(n - 1, max(self.max_used, v) + 1)
-                stack.append([v, out_mask[v].bit_length() - 1, hi, balls[:], self.max_used,
-                              self._frame(v)])
+                cands = ((2 << hi) - (1 << lo)) & ~(1 << v)
+                if diregular:
+                    for w in range(lo, hi + 1):
+                        if in_mask[w].bit_count() >= d:
+                            cands &= ~(1 << w)
+                frame = self._frame(v)
+                union = frame[2]
+                stack.append([v, -1, cands & ~union, cands & union, balls[:], self.max_used,
+                              frame])
                 back = False
             while stack:
                 top = stack[-1]
-                v, w, hi, saved, saved_max, frame = top
+                v, w, live, barred, saved, saved_max, frame = top
                 if back:
                     out_mask[v] ^= 1 << w
                     in_mask[w] ^= 1 << v
                     balls[:] = saved
                     self.max_used = saved_max
-                for w in range(w + 1, hi + 1):
-                    if w == v:
-                        continue
-                    if diregular and in_mask[w].bit_count() >= d:
-                        continue
-                    if budget is not None and self.nodes >= budget:
-                        self.stopped = True
-                        for u, x, *_ in stack[:-1]:
-                            out_mask[u] ^= 1 << x
-                            in_mask[x] ^= 1 << u
-                        balls[:], self.max_used = stack[0][3], stack[0][4]
-                        return
-                    self.nodes += 1
+                while live:
+                    b = live & -live
+                    live ^= b
+                    below = barred & (b - 1)
+                    barred ^= below
+                    skipped = below.bit_count()
+                    if budget is not None and self.nodes + skipped >= budget:
+                        return self._halt(stack)
+                    self.nodes += skipped + 1
+                    w = b.bit_length() - 1
                     if self._land(v, w, frame):
                         break
-                    out_mask[v] ^= 1 << w
+                    out_mask[v] ^= b
                     in_mask[w] ^= 1 << v
                     balls[:] = saved
                     self.max_used = saved_max
                 else:
+                    skipped = barred.bit_count()
+                    if budget is not None and self.nodes + skipped > budget:
+                        return self._halt(stack)
+                    self.nodes += skipped
                     stack.pop()
                     back = True
                     continue
-                top[1] = w
+                top[1:4] = w, live, barred
                 hint, depth = v, base + len(stack)
                 break
             else:
                 return
+
+    def _halt(self, stack: list[list]) -> None:
+        """Stop _dfs on the budget, leaving the state as the walk found it.
+
+        The top frame's arc is already taken back; every frame below it
+        takes back its own, and the first snapshot restores balls and
+        max_used.  A stop comes only once the candidates passed reach the
+        budget, so nodes is the budget.
+        """
+        out_mask, in_mask = self.out_mask, self.in_mask
+        for u, x, *_ in stack[:-1]:
+            out_mask[u] ^= 1 << x
+            in_mask[x] ^= 1 << u
+        self.balls[:], self.max_used = stack[0][4], stack[0][5]
+        self.nodes = self.budget
+        self.stopped = True
 
     def run(self, split_at: int | None = None) -> None:
         self.split_at = split_at

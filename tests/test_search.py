@@ -346,7 +346,36 @@ class TestVerifyOnce:
             search(P222)
 
 
+class _EmitLog(_Engine):
+    """The engine with the node count and the results so far recorded at every leaf."""
+
+    def __init__(self, params, pruning, start, budget):
+        super().__init__(params, pruning, start, budget)
+        self.log = []
+
+    def _emit(self):
+        super()._emit()
+        self.log.append((self.nodes, dict(self.results)))
+
+
 class TestBudgets:
+    @pytest.mark.parametrize("index", [0, 1, 4])
+    def test_every_budget_stops_where_the_walk_does(self, index):
+        # a budget of b nodes explores the first b nodes of the unbudgeted
+        # walk, keeps the classes it emits within them, and stops exactly
+        # when the walk has more than b nodes, wherever the b-th node falls
+        params = SearchParams(d=2, k=2, epsilon=3, diregular=True)
+        task = split_tasks(params)[0][index]
+        walk = _EmitLog(params, "full", task, budget=None)
+        walk.run()
+        total = walk.nodes
+        for b in range(total + 2):
+            results = {}
+            for at, so_far in walk.log:
+                if at <= b:
+                    results = so_far
+            assert run_task(params, task, budget=b) == (results, min(b, total), b < total)
+
     def test_budget_marks_incomplete(self):
         full = search(P222).nodes_explored
         out = search(SearchParams(d=2, k=2, epsilon=2, diregular=True,
@@ -501,11 +530,20 @@ class TestEmittedInvariants:
 
 
 class _AuditedEngine(_Engine):
-    """The engine audited at every arc it lands and at every DFS frame it restores.
+    """The engine audited at every node it counts and at every DFS frame it restores.
 
     Each frame's state is recorded when _frame builds it, and every arc
     must land on exactly that state: the frame restored all it changed
-    for the children before.
+    for the children before.  Inside _dfs each frame also lists its
+    candidates, found one by one from the state: the targets past v's
+    last one up to one past the highest vertex in use, without v and, in
+    diregular mode, without the vertices of in-degree d.  A candidate in
+    the frame's union U is barred: the engine counts it without landing
+    it, so the audit judges it here, by the oracle on the frame's state
+    with that arc added.  checked follows the walk and counts each barred
+    candidate before the next landed one or when its frame ends, and each
+    landed one; a landed one comes only below the budget, and a frame end
+    that the walk goes on from only within it.
     """
 
     def __init__(self, params, pruning, start, budget):
@@ -513,6 +551,8 @@ class _AuditedEngine(_Engine):
         self.pruning = pruning
         self.checked = 0
         self.opened = {}  # id of a frame -> (the frame, the state it was built from)
+        self.walking = False
+        self.pending = []  # the open DFS frames: (id, [(candidate, barred) not yet passed])
 
     def _fresh_balls(self):
         g = Digraph(self.n, self._rows())
@@ -522,12 +562,47 @@ class _AuditedEngine(_Engine):
     def _frame(self, v):
         frame = super()._frame(v)
         self.opened[id(frame)] = frame, self._state()
+        if self.walking:
+            rows = self._rows()
+            hi = min(self.n - 1, max(self.max_used, v) + 1)
+            todo = []
+            for w in range(self.out_mask[v].bit_length(), hi + 1):
+                if w == v or self.diregular and self.in_mask[w].bit_count() >= self.d:
+                    continue
+                barred = bool(frame[2] >> w & 1)
+                if barred:
+                    partial = Digraph(self.n, [row + (w,) if u == v else row
+                                               for u, row in enumerate(rows)])
+                    assert _oracle_cuts(partial, self.params, self.pruning)
+                todo.append((w, barred))
+            self.pending.append((id(frame), todo))
         return frame
+
+    def _pass_barred(self, todo):
+        """Count and drop the barred candidates at the front of a frame's list.
+
+        Returns whether a candidate is left, which is then a live one.
+        """
+        while todo and todo[0][1]:
+            del todo[0]
+            self.checked += 1
+        return bool(todo)
 
     def _land(self, v, w, frame):
         assert self._state() == self.opened[id(frame)][1]
+        if self.walking:
+            while self.pending[-1][0] != id(frame):  # the frames above it have ended
+                ended = self.pending.pop()[1]
+                self._pass_barred(ended)
+                assert not ended  # with no live candidate left out
+            assert self.budget is None or self.checked <= self.budget
+            todo = self.pending[-1][1]
+            self._pass_barred(todo)
+            assert todo and todo[0] == (w, False)  # the next candidate, and a live one
+            del todo[0]
+            assert self.budget is None or self.checked < self.budget
+            self.checked += 1
         kept = super()._land(v, w, frame)
-        self.checked += 1
         partial = Digraph(self.n, self._rows())
         assert kept == (not _oracle_cuts(partial, self.params, self.pruning))
         if kept:
@@ -539,8 +614,24 @@ class _AuditedEngine(_Engine):
 
     def _dfs(self, hint, depth):
         before = self._state()
+        self.walking = True
         super()._dfs(hint, depth)
+        self.walking = False
         assert self._state() == before
+        # past the last landed arc the walk ends frames from the top; it stops
+        # before a live candidate once the budget is reached, or at a frame
+        # end past the budget, and a stop counts exactly the budget
+        stop = False
+        while self.pending and not stop:
+            if self._pass_barred(self.pending[-1][1]):
+                assert self.budget is not None and self.checked >= self.budget
+                stop = True
+            else:
+                self.pending.pop()
+                stop = self.budget is not None and self.checked > self.budget
+        assert self.stopped == stop
+        if stop:
+            self.checked = self.budget
 
 
 @st.composite
@@ -573,15 +664,14 @@ class TestIncrementalCheck:
     @given(geodetic_partials(), st.sampled_from(["basic", "full"]))
     @settings(max_examples=100, deadline=None)
     def test_matches_full_rescan(self, case, pruning):
-        # every arc the engine lands, the start partial's first: its verdict
-        # is the oracle's, the stored balls it keeps are the BFS k-balls,
-        # and each frame's restore gives them back
+        # every node the walk counts and every arc the start partial lands:
+        # its verdict is the oracle's, the stored balls it keeps are the BFS
+        # k-balls, and each frame's restore gives them back
         params, partial = case
         engine = _AuditedEngine(params, pruning, partial, budget=150)
         assume(engine.enter())  # the global cuts may drop what basic kept
         initial = list(engine.balls)
         assert initial == engine._fresh_balls()
-        engine.checked = 0
         engine._dfs(0, 0)
         assert engine.balls == initial
         assert engine.checked == engine.nodes
@@ -613,7 +703,7 @@ class TestIncrementalCheck:
     def test_whole_search_audited(self):
         engine = _AuditedEngine(P222, "full", seed_tree(P222), budget=None)
         engine.run()
-        assert engine.nodes == 3724
+        assert engine.nodes == engine.checked == 3724
         assert len(engine.results) == 2
         assert engine.balls == engine._fresh_balls()
 
