@@ -108,14 +108,15 @@ class _Engine:
     for each decided arc v -> w and in_mask[w] bit v.  An out-list is full
     when its mask has d bits, and since it grows in increasing order its
     next target is at least the mask's bit_length().  balls[s] holds the
-    k-ball of s and max_used the highest vertex in use.  _land is the only
-    code that adds an arc, and it checks the arc against the data _frame
-    builds for its tail.  The cost per frame is one backward scan and one
-    candidate mask; per barred candidate (one in the frame's union U) a
-    count and no more; per live candidate one forward scan and k ANDs,
-    with the sources touched only on a kept arc.  _dfs takes each arc
-    back by clearing its two mask bits and restoring balls and max_used
-    from the frame's snapshot.
+    k-ball of s, max_used the highest vertex in use, and in_full has bit w
+    once w's in-degree reaches d, so diregular mode offers w no more arcs.
+    _land is the only code that adds an arc, and it checks the arc
+    against the data _frame builds for its tail.  The cost per frame is
+    one backward scan and one candidate mask; per barred candidate (one
+    in the frame's union U) a count and no more; per live candidate one
+    forward scan and k ANDs, with the sources touched only on a kept arc.
+    _dfs takes each arc back by clearing its two mask bits and restoring
+    balls, max_used and in_full from the frame's snapshot.
     """
 
     def __init__(self, params: SearchParams, pruning: str, start: Digraph,
@@ -140,6 +141,7 @@ class _Engine:
         self.in_mask = [0] * n
         self.balls = [1 << u for u in range(n)]
         self.max_used = -1
+        self.in_full = 0
         self.moore = moore_bound(self.d, self.k)
         self.everyone = (1 << n) - 1
         self.nodes = 0
@@ -162,7 +164,7 @@ class _Engine:
         that fills a row, which is when the multiplicity cut runs.
         """
         for v, w in self.start.arcs():
-            if self.diregular and self.in_mask[w].bit_count() >= self.d:
+            if self.diregular and self.in_full >> w & 1:
                 return False
             if not self._land(v, w, self._frame(v)):
                 return False
@@ -196,10 +198,10 @@ class _Engine:
         """Add the arc v -> w to the state and test the walks through it; False means cut.
 
         frame is _frame(v) of the state before the arc.  The only code that
-        sets a mask bit or grows a ball.  The partial was k-geodetic before
-        the arc, so a source s at backward distance t from v reaches v by
-        one walk, and its new walks follow that walk and the arc, then at
-        most k-1-t steps from w.  Their ends must miss balls[s], which
+        sets a mask bit, grows a ball or adds to in_full.  The partial was
+        k-geodetic before the arc, so a source s at backward distance t
+        from v reaches v by one walk, and its new walks follow that walk
+        and the arc, then at most k-1-t steps from w.  Their ends must miss balls[s], which
         holds s itself, so closed walks count.  A set meets some source's
         ball of layer t exactly when it meets their union U_t, and each
         source's new walk of length t+1 ends at w, so w in U cuts before
@@ -213,9 +215,11 @@ class _Engine:
         restores it.
         """
         found, unions, union = frame
-        out_mask, balls = self.out_mask, self.balls
+        out_mask, in_mask, balls = self.out_mask, self.in_mask, self.balls
         out_mask[v] |= 1 << w
-        self.in_mask[w] |= 1 << v
+        in_mask[w] |= 1 << v
+        if in_mask[w].bit_count() >= self.d:
+            self.in_full |= 1 << w
         if self.max_used < w:
             self.max_used = w
         if self.max_used < v:
@@ -289,26 +293,26 @@ class _Engine:
     def _dfs(self, hint: int, depth: int) -> None:
         """Walk the subtree of the current state depth first, on an explicit stack.
 
-        A frame is [v, w, live, barred, saved, saved_max, frame]: the open
-        vertex v, the candidate w whose arc is landed while its child is
-        walked, the live and barred candidates not yet passed, the snapshot
-        of balls and max_used, and _frame(v).  The candidates are the
+        A frame is [v, w, live, barred, saved, frame]: the open vertex v,
+        the candidate w whose arc is landed while its child is walked, the
+        live and barred candidates not yet passed, the snapshot of balls,
+        max_used and in_full, and _frame(v).  The candidates are the
         targets from v's next slot up to one past the highest vertex in
-        use, without v and, in diregular mode, without any vertex of
-        in-degree d; none of this moves while the frame is open, so one
-        bitmask per frame holds them.  Those in the frame's union U are
-        barred, since _land would cut them on its first test, and the rest
-        are live.  Live candidates land in increasing order; the barred
-        ones below each, and those left when the frame ends, are counted
-        by one popcount.  Every candidate is a node, as if each were
-        landed in turn, so the budget stops where landing each would: before
-        a live candidate once the nodes passed reach the budget, and at a
-        frame's end once they pass it.  A frame takes each arc back by
-        clearing its two mask bits and restoring its snapshot, and a stop
-        takes back every frame's arc and restores the first snapshot, so
-        the walk leaves the state as it found it.
+        use, without v and, in diregular mode, without the vertices in
+        in_full; none of this moves while the frame is open, so one bitmask
+        per frame holds them.  Those in the frame's union U are barred,
+        since _land would cut them on its first test, and the rest are
+        live.  Live candidates land in increasing order; the barred ones
+        below each, and those left when the frame ends, are counted by one
+        popcount.  Every candidate is a node, as if each were landed in
+        turn, so the budget stops where landing each would: before a live
+        candidate once the nodes passed reach the budget, and at a frame's
+        end once they pass it.  A frame takes each arc back by clearing its
+        two mask bits and restoring its snapshot, and a stop takes back
+        every frame's arc and restores the first snapshot, so the walk
+        leaves the state as it found it.
         """
-        n, d, diregular, budget = self.n, self.d, self.diregular, self.budget
+        n, diregular, budget = self.n, self.diregular, self.budget
         out_mask, in_mask, balls = self.out_mask, self.in_mask, self.balls
         stack: list[list] = []
         base = depth
@@ -324,22 +328,19 @@ class _Engine:
                 hi = min(n - 1, max(self.max_used, v) + 1)
                 cands = ((2 << hi) - (1 << lo)) & ~(1 << v)
                 if diregular:
-                    for w in range(lo, hi + 1):
-                        if in_mask[w].bit_count() >= d:
-                            cands &= ~(1 << w)
+                    cands &= ~self.in_full
                 frame = self._frame(v)
                 union = frame[2]
-                stack.append([v, -1, cands & ~union, cands & union, balls[:], self.max_used,
-                              frame])
+                stack.append([v, -1, cands & ~union, cands & union,
+                              (balls[:], self.max_used, self.in_full), frame])
                 back = False
             while stack:
                 top = stack[-1]
-                v, w, live, barred, saved, saved_max, frame = top
+                v, w, live, barred, saved, frame = top
                 if back:
                     out_mask[v] ^= 1 << w
                     in_mask[w] ^= 1 << v
-                    balls[:] = saved
-                    self.max_used = saved_max
+                    balls[:], self.max_used, self.in_full = saved
                 while live:
                     b = live & -live
                     live ^= b
@@ -354,8 +355,7 @@ class _Engine:
                         break
                     out_mask[v] ^= b
                     in_mask[w] ^= 1 << v
-                    balls[:] = saved
-                    self.max_used = saved_max
+                    balls[:], self.max_used, self.in_full = saved
                 else:
                     skipped = barred.bit_count()
                     if budget is not None and self.nodes + skipped > budget:
@@ -374,15 +374,15 @@ class _Engine:
         """Stop _dfs on the budget, leaving the state as the walk found it.
 
         The top frame's arc is already taken back; every frame below it
-        takes back its own, and the first snapshot restores balls and
-        max_used.  A stop comes only once the candidates passed reach the
+        takes back its own, and the first snapshot restores balls, max_used
+        and in_full.  A stop comes only once the candidates passed reach the
         budget, so nodes is the budget.
         """
         out_mask, in_mask = self.out_mask, self.in_mask
         for u, x, *_ in stack[:-1]:
             out_mask[u] ^= 1 << x
             in_mask[x] ^= 1 << u
-        self.balls[:], self.max_used = stack[0][4], stack[0][5]
+        self.balls[:], self.max_used, self.in_full = stack[0][4]
         self.nodes = self.budget
         self.stopped = True
 

@@ -562,6 +562,8 @@ class _AuditedEngine(_Engine):
     def _frame(self, v):
         frame = super()._frame(v)
         self.opened[id(frame)] = frame, self._state()
+        assert self.in_full == sum(1 << w for w in range(self.n)
+                                if self.in_mask[w].bit_count() >= self.d)
         if self.walking:
             rows = self._rows()
             hi = min(self.n - 1, max(self.max_used, v) + 1)
@@ -610,7 +612,8 @@ class _AuditedEngine(_Engine):
         return kept
 
     def _state(self):
-        return list(self.balls), list(self.out_mask), list(self.in_mask), self.max_used
+        return (list(self.balls), list(self.out_mask), list(self.in_mask), self.max_used,
+                self.in_full)
 
     def _dfs(self, hint, depth):
         before = self._state()
@@ -692,12 +695,12 @@ class TestIncrementalCheck:
             if engine.out_mask[v] >> w & 1:
                 continue
             before = layers(engine.in_mask, v, params.k - 1)
-            saved = list(engine.balls), engine.max_used
+            saved = list(engine.balls), engine.max_used, engine.in_full
             verdicts.add(engine._land(v, w, engine._frame(v)))
             assert layers(engine.in_mask, v, params.k - 1) == before
             engine.out_mask[v] ^= 1 << w
             engine.in_mask[w] ^= 1 << v
-            engine.balls[:], engine.max_used = saved
+            engine.balls[:], engine.max_used, engine.in_full = saved
         assume(verdicts == {False, True})
 
     def test_whole_search_audited(self):
