@@ -534,7 +534,8 @@ class _AuditedEngine(_Engine):
 
     Each frame's state is recorded when _frame builds it, and every arc
     must land on exactly that state: the frame restored all it changed
-    for the children before.  Inside _dfs each frame also lists its
+    for the children before, and in_full must hold exactly the vertices
+    of in-degree d or more.  Inside _dfs each frame also lists its
     candidates, found one by one from the state: the targets past v's
     last one up to one past the highest vertex in use, without v and, in
     diregular mode, without the vertices of in-degree d.  A candidate in
