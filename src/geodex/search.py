@@ -20,19 +20,24 @@ their union U.  The frame also builds its candidate targets once, as
 one bitmask.  A candidate w in U would give some source a second walk
 of length at most k to w, or a closed one, so it is barred: the frame
 counts the barred candidates in bulk, by popcount, and never lands
-them.  Each live candidate, one outside U, costs one forward scan of
-w's balls and k ANDs against the layers' sets, and only a kept arc
-touches the sources, whose stored balls grow by exactly the new ends.
+them; a frame with no other candidate is not even pushed.  Each live
+candidate, one outside U, costs one forward scan of w's balls and k
+ANDs against the layers' sets.  The stored balls change once per
+filled row, not once per arc: every source of one layer gains the same
+set, so while v's row is open a kept arc only adds that set to the
+layer's set and to its pending set, in the next frame for v, which is
+derived from its parent with no backward scan.  The arc that fills the
+row commits the pending sets to a copy of the balls, so a frame puts
+back the balls it opened with by reference.
 One method adds every arc: a task's start partial enters through it,
 one arc at a time from the empty digraph, and so does each live DFS
 node, so every state is checked by the same code; that method's first
-test is the U test that bars a candidate.
-Each DFS frame snapshots the balls once and restores them after every
-child, and the frames sit on an explicit stack, so Python's recursion
-limit does not bound the depth of a search.  Whenever an out-list
-fills, full pruning in diregular mode additionally runs one global cut
-on the stored balls: a vertex shut out of more than epsilon finished
-k-balls.
+test is the U test that bars a candidate.  The frames sit on an
+explicit stack, so Python's recursion limit does not bound the depth
+of a search.  Full pruning in diregular mode adds one more cut when a
+row fills: a ball that the fill makes full is finished, its outliers
+are counted in epsilon+1 bitmask levels, and a vertex shut out of more
+than epsilon finished k-balls cuts.
 All cuts are sound: they only fire on partials no valid completion can
 extend.
 """
@@ -107,16 +112,22 @@ class _Engine:
     The partial digraph is held only as bitsets: out_mask[v] has bit w set
     for each decided arc v -> w and in_mask[w] bit v.  An out-list is full
     when its mask has d bits, and since it grows in increasing order its
-    next target is at least the mask's bit_length().  balls[s] holds the
-    k-ball of s, max_used the highest vertex in use, and in_full has bit w
-    once w's in-degree reaches d, so diregular mode offers w no more arcs.
-    _land is the only code that adds an arc, and it checks the arc
-    against the data _frame builds for its tail.  The cost per frame is
-    one backward scan and one candidate mask; per barred candidate (one
-    in the frame's union U) a count and no more; per live candidate one
-    forward scan and k ANDs, with the sources touched only on a kept arc.
-    _dfs takes each arc back by clearing its two mask bits and restoring
-    balls, max_used and in_full from the frame's snapshot.
+    next target is at least the mask's bit_length().  max_used is the
+    highest vertex in use, and in_full has bit w once w's in-degree
+    reaches d, so diregular mode offers w no more arcs.  balls[s] holds
+    the k-ball of s as of the last filled row: the arcs out of a vertex
+    whose row is still open live in its frame's pending sets instead (see
+    _frame).  shut[i] holds the vertices that are outliers of at least
+    i+1 finished balls, for i up to epsilon.  _land is the only code that
+    adds an arc, and it checks the arc against the frame of its tail.
+    The cost per fresh frame is one backward scan and one candidate mask,
+    per same-vertex frame a few ORs on its parent's frame; per barred
+    candidate (one in the frame's union U) a count and no more; per live
+    candidate one forward scan and k ANDs; and per filled row one pass
+    over the sources plus epsilon+1 ORs per finished ball.  A filled row
+    grows a copy of balls, never the list a frame saw, so _dfs takes each
+    arc back by clearing its two mask bits and putting back the frame's
+    balls, shut, max_used and in_full, without copying.
     """
 
     def __init__(self, params: SearchParams, pruning: str, start: Digraph,
@@ -140,6 +151,7 @@ class _Engine:
         self.out_mask = [0] * n
         self.in_mask = [0] * n
         self.balls = [1 << u for u in range(n)]
+        self.shut = [0] * (params.epsilon + 1)
         self.max_used = -1
         self.in_full = 0
         self.moore = moore_bound(self.d, self.k)
@@ -156,29 +168,39 @@ class _Engine:
         """Land the start partial's arcs row by row; False means cut.
 
         Each arc goes through _land, as at every DFS node, with a frame
-        built for it alone, since the state changes from one arc to the
-        next.  An arc into a vertex of in-degree d is refused in diregular
-        mode, as the DFS never offers one.  Stopping at the first cut gives
-        the verdict of the whole partial: arcs only ever break geodecity
-        and raise in-degrees, and a ball reaches full size only on an arc
-        that fills a row, which is when the multiplicity cut runs.
+        built for it alone, and its new ends are committed to the stored
+        balls at once, even mid-row, since a task's start may end with a
+        row open and the DFS then builds its first frame from the balls.
+        An arc into a vertex of in-degree d is refused in diregular mode,
+        as the DFS never offers one.  Stopping at the first cut gives the
+        verdict of the whole partial: arcs only ever break geodecity and
+        raise in-degrees, and a ball reaches full size only on an arc that
+        fills a row, which is when the multiplicity cut runs.
         """
         for v, w in self.start.arcs():
             if self.diregular and self.in_full >> w & 1:
                 return False
-            if not self._land(v, w, self._frame(v)):
+            frame = self._frame(v)
+            ahead = self._land(v, w, frame)
+            if not ahead:
                 return False
+            if self.out_mask[v].bit_count() < self.d:
+                self._grow(frame[0], ahead)
         return True
 
-    def _frame(self, v: int) -> tuple[list[int], list[int], int]:
-        """The data every arc out of v is checked against, from the current state.
+    def _frame(self, v: int) -> tuple[list[int], list[int], int, list[int]]:
+        """The data every arc out of v is checked against, from the stored balls.
 
         Returns v's backward layers L_t for t < k, the union U_t of the
-        stored balls of each layer's sources, and the union U of all U_t.
-        Landing an arc out of v leaves the layers alone, since v is their
-        depth 0, and a DFS frame restores the balls after every child, so
-        one frame serves all of v's candidates: _dfs counts those in U
-        without landing them and lands the others against this data.
+        stored balls of each layer's sources, their union U, and each
+        layer's pending set P_t, which is empty here.  Landing an arc out
+        of v leaves the layers alone, since v is their depth 0, and each
+        source of L_t gains the same set, w's ball of radius k-1-t.  So
+        while v's row stays open the child frame is derived, not scanned:
+        _dfs ORs that set into U_t and into P_t, which holds what the
+        sources of L_t have gained since the stored balls were brought up
+        to date.  Their k-balls are then balls[s] | P_t, and the arc that
+        fills the row commits P_t to them.
         """
         balls = self.balls
         found = layers(self.in_mask, v, self.k - 1)
@@ -192,30 +214,37 @@ class _Engine:
                 u |= balls[b.bit_length() - 1]
             unions.append(u)
             union |= u
-        return found, unions, union
+        return found, unions, union, [0] * len(found)
 
-    def _land(self, v: int, w: int, frame: tuple[list[int], list[int], int]) -> bool:
-        """Add the arc v -> w to the state and test the walks through it; False means cut.
+    def _land(self, v: int, w: int,
+              frame: tuple[list[int], list[int], int, list[int]]) -> list[int] | None:
+        """Add the arc v -> w to the state and test the walks through it.
 
-        frame is _frame(v) of the state before the arc.  The only code that
-        sets a mask bit, grows a ball or adds to in_full.  The partial was
-        k-geodetic before the arc, so a source s at backward distance t
-        from v reaches v by one walk, and its new walks follow that walk
-        and the arc, then at most k-1-t steps from w.  Their ends must miss balls[s], which
-        holds s itself, so closed walks count.  A set meets some source's
-        ball of layer t exactly when it meets their union U_t, and each
-        source's new walk of length t+1 ends at w, so w in U cuts before
-        any scan; _dfs counts such a w without calling this, while enter()
-        and the tests still get that verdict here.
-        Otherwise one scan of w's balls and one AND per layer decide.  Walks
-        from w can only meet each other by returning to w, which the source
-        w then fails too; the scan stops early for that case.  Only a kept
-        arc visits the sources, and each balls[s] gains the new ends.  A cut
-        returns at once and leaves the state as it stands; the caller
-        restores it.
+        Returns None when cut, else w's balls of radius k-1, k-2, ..., 0,
+        the sets that the sources of v's layers L_0, L_1, ... gain.  frame
+        is v's frame for the state before the arc.  The only code that
+        sets a mask bit or adds to in_full.  The partial was k-geodetic
+        before the arc, so a source s at backward distance t from v
+        reaches v by one walk, and its new walks follow that walk and the
+        arc, then at most k-1-t steps from w.  Their ends must miss the
+        k-ball of s, which holds s itself, so closed walks count.  A set
+        meets some source's ball of layer t exactly when it meets their
+        union U_t, and each source's new walk of length t+1 ends at w, so
+        w in U cuts before any scan; _dfs counts such a w without calling
+        this, while enter() and the tests still get that verdict here.
+        Otherwise one scan of w's balls and one AND per layer decide.
+        Walks from w can only meet each other by returning to w, which
+        the source w then fails too; the scan stops early for that case.
+        A kept arc that leaves v's row open touches no stored ball: the
+        caller carries its sets in the frame's pending sets.  The arc that
+        fills the row commits each layer's pending set and its own to a
+        copy of balls, and in full diregular mode adds the outliers of
+        each ball that this made full to shut, cutting when a vertex is
+        an outlier of more than epsilon finished balls.  A cut returns at
+        once and leaves the state as it stands; the caller restores it.
         """
-        found, unions, union = frame
-        out_mask, in_mask, balls = self.out_mask, self.in_mask, self.balls
+        found, unions, union, pending = frame
+        out_mask, in_mask = self.out_mask, self.in_mask
         out_mask[v] |= 1 << w
         in_mask[w] |= 1 << v
         if in_mask[w].bit_count() >= self.d:
@@ -225,45 +254,49 @@ class _Engine:
         if self.max_used < v:
             self.max_used = v
         if union >> w & 1:
-            return False
+            return None
         ahead = geodetic_balls(out_mask, w, self.k - 1)
         if not ahead:
-            return False
+            return None
         ahead.reverse()
         for u, new in zip(unions, ahead):
             if u & new:
-                return False
-        for layer, new in zip(found, ahead):
+                return None
+        if out_mask[v].bit_count() < self.d:
+            return ahead
+        self.balls = self.balls[:]
+        finished = self._grow(found, [p | new for p, new in zip(pending, ahead)])
+        if self.mult_mode and finished:
+            # a finished ball pins its outliers for every completion;
+            # shut counts each vertex's finished balls in unary, up to epsilon+1
+            shut, everyone = self.shut, self.everyone
+            for ball in finished:
+                out = everyone & ~ball
+                shut = [shut[0] | out] + [hi | lo & out for lo, hi in zip(shut, shut[1:])]
+            self.shut = shut
+            if shut[-1]:
+                return None
+        return ahead
+
+    def _grow(self, found: list[int], news: list[int]) -> list[int]:
+        """OR news[t] into the stored ball of each source in layer found[t].
+
+        Returns the grown balls that reached full size.  Without duplicate
+        walks a ball is full exactly when every vertex within k-1 steps of
+        its source has its whole out-list, so it is then finished.
+        """
+        balls, moore = self.balls, self.moore
+        finished = []
+        for layer, new in zip(found, news):
             while layer:
                 b = layer & -layer
                 layer ^= b
-                balls[b.bit_length() - 1] |= new
-        if self.mult_mode and out_mask[v].bit_count() == self.d:
-            return self._global_cuts()
-        return True
-
-    def _global_cuts(self) -> bool:
-        """False when a vertex is an outlier of more than epsilon finished balls.
-
-        A finished ball pins its outliers for every completion.  A ball
-        without duplicate walks is finished (it cannot grow further)
-        exactly when it is full size: every vertex within k-1 steps then
-        has its whole out-list.
-        """
-        eps, moore = self.params.epsilon, self.moore
-        mult = [0] * self.n
-        for acc in self.balls:
-            if acc.bit_count() != moore:
-                continue
-            c = self.everyone & ~acc
-            while c:
-                b = c & -c
-                c ^= b
-                x = b.bit_length() - 1
-                mult[x] += 1
-                if mult[x] > eps:
-                    return False
-        return True
+                s = b.bit_length() - 1
+                ball = balls[s] | new
+                balls[s] = ball
+                if ball.bit_count() == moore:
+                    finished.append(ball)
+        return finished
 
     # ---- generation ----
 
@@ -295,27 +328,35 @@ class _Engine:
 
         A frame is [v, w, live, barred, saved, frame]: the open vertex v,
         the candidate w whose arc is landed while its child is walked, the
-        live and barred candidates not yet passed, the snapshot of balls,
-        max_used and in_full, and _frame(v).  The candidates are the
-        targets from v's next slot up to one past the highest vertex in
-        use, without v and, in diregular mode, without the vertices in
-        in_full; none of this moves while the frame is open, so one bitmask
-        per frame holds them.  Those in the frame's union U are barred,
-        since _land would cut them on its first test, and the rest are
-        live.  Live candidates land in increasing order; the barred ones
-        below each, and those left when the frame ends, are counted by one
-        popcount.  Every candidate is a node, as if each were landed in
-        turn, so the budget stops where landing each would: before a live
-        candidate once the nodes passed reach the budget, and at a frame's
-        end once they pass it.  A frame takes each arc back by clearing its
-        two mask bits and restoring its snapshot, and a stop takes back
-        every frame's arc and restores the first snapshot, so the walk
-        leaves the state as it found it.
+        live and barred candidates not yet passed, the balls, shut,
+        max_used and in_full it opened with, and v's frame.  The candidates
+        are the targets from v's next slot up to one past the highest
+        vertex in use, without v and, in diregular mode, without the
+        vertices in in_full; none of this moves while the frame is open, so
+        one bitmask per frame holds them.  Those in the frame's union U are
+        barred, since _land would cut them on its first test, and the rest
+        are live.  A frame for the vertex whose row its parent left open is
+        derived from the parent's frame and the sets _land returned: each
+        U_t and P_t gains the set of layer t, and U gains the largest.  Any
+        other frame is built by _frame from the stored balls, which the
+        last filled row brought up to date.  A frame with no live candidate
+        is counted by one popcount and never pushed.  Live candidates land
+        in increasing order; the barred ones below each, and those left
+        when the frame ends, are counted by one popcount.  Every candidate
+        is a node, as if each were landed in turn, so the budget stops
+        where landing each would: before a live candidate once the nodes
+        passed reach the budget, and at a frame's end once they pass it.
+        A frame takes each arc back by clearing its two mask bits and
+        putting back what it saved, and a stop takes back every landed arc
+        and puts back the state the walk started from, so the walk leaves
+        the state as it found it.
         """
         n, diregular, budget = self.n, self.diregular, self.budget
-        out_mask, in_mask, balls = self.out_mask, self.in_mask, self.balls
+        out_mask, in_mask = self.out_mask, self.in_mask
+        entry = self.balls, self.shut, self.max_used, self.in_full
         stack: list[list] = []
         base = depth
+        ahead: list[int] = []
         while True:
             v = self._next_open(hint)
             back = True  # whether the top frame has an arc to take back
@@ -329,18 +370,33 @@ class _Engine:
                 cands = ((2 << hi) - (1 << lo)) & ~(1 << v)
                 if diregular:
                     cands &= ~self.in_full
-                frame = self._frame(v)
-                union = frame[2]
-                stack.append([v, -1, cands & ~union, cands & union,
-                              (balls[:], self.max_used, self.in_full), frame])
-                back = False
+                if stack and stack[-1][0] == v:
+                    found, unions, union, pending = stack[-1][5]
+                    union |= ahead[0]
+                    live = cands & ~union
+                    if live:
+                        frame = (found, [u | new for u, new in zip(unions, ahead)], union,
+                                 [p | new for p, new in zip(pending, ahead)])
+                else:
+                    frame = self._frame(v)
+                    union = frame[2]
+                    live = cands & ~union
+                if live:
+                    stack.append([v, -1, live, cands & union,
+                                  (self.balls, self.shut, self.max_used, self.in_full), frame])
+                    back = False
+                else:
+                    skipped = cands.bit_count()
+                    if budget is not None and self.nodes + skipped > budget:
+                        return self._halt(stack, entry)
+                    self.nodes += skipped
             while stack:
                 top = stack[-1]
                 v, w, live, barred, saved, frame = top
                 if back:
                     out_mask[v] ^= 1 << w
                     in_mask[w] ^= 1 << v
-                    balls[:], self.max_used, self.in_full = saved
+                    self.balls, self.shut, self.max_used, self.in_full = saved
                 while live:
                     b = live & -live
                     live ^= b
@@ -348,18 +404,19 @@ class _Engine:
                     barred ^= below
                     skipped = below.bit_count()
                     if budget is not None and self.nodes + skipped >= budget:
-                        return self._halt(stack)
+                        return self._halt(stack[:-1], entry)
                     self.nodes += skipped + 1
                     w = b.bit_length() - 1
-                    if self._land(v, w, frame):
+                    ahead = self._land(v, w, frame)
+                    if ahead:
                         break
                     out_mask[v] ^= b
                     in_mask[w] ^= 1 << v
-                    balls[:], self.max_used, self.in_full = saved
+                    self.balls, self.shut, self.max_used, self.in_full = saved
                 else:
                     skipped = barred.bit_count()
                     if budget is not None and self.nodes + skipped > budget:
-                        return self._halt(stack)
+                        return self._halt(stack[:-1], entry)
                     self.nodes += skipped
                     stack.pop()
                     back = True
@@ -370,19 +427,22 @@ class _Engine:
             else:
                 return
 
-    def _halt(self, stack: list[list]) -> None:
+    def _halt(self, landed: list[list], entry: tuple) -> None:
         """Stop _dfs on the budget, leaving the state as the walk found it.
 
-        The top frame's arc is already taken back; every frame below it
-        takes back its own, and the first snapshot restores balls, max_used
-        and in_full.  A stop comes only once the candidates passed reach the
-        budget, so nodes is the budget.
+        landed holds the frames whose arcs are still landed: all of the
+        stack when the stop comes at the end of a frame that was never
+        pushed, which may be the walk's first, and all but the top frame
+        otherwise, since the top one has taken its arc back.  Each takes
+        its arc back, and entry, the balls, shut, max_used and in_full the
+        walk started from, is put back.  A stop comes only once the
+        candidates passed reach the budget, so nodes is the budget.
         """
         out_mask, in_mask = self.out_mask, self.in_mask
-        for u, x, *_ in stack[:-1]:
+        for u, x, *_ in landed:
             out_mask[u] ^= 1 << x
             in_mask[x] ^= 1 << u
-        self.balls[:], self.max_used, self.in_full = stack[0][4]
+        self.balls, self.shut, self.max_used, self.in_full = entry
         self.nodes = self.budget
         self.stopped = True
 

@@ -100,6 +100,24 @@ def partial_cut_oracle(g: Digraph, d: int, k: int, epsilon: int, diregular: bool
     return any(c > epsilon for c in outside)
 
 
+def outlier_counts(balls: list[int], n: int, full: int) -> list[int]:
+    """For each vertex, the number of the given k-balls of full size that miss it.
+
+    balls[s] has bit x set for each vertex x within k steps of s.  A ball
+    of full size, with no duplicate walks, can grow no further, so these
+    are the outliers that every completion keeps: the search's
+    multiplicity cut fires when some count exceeds epsilon.  One plain
+    rescan of every ball.
+    """
+    counts = [0] * n
+    for ball in balls:
+        if bin(ball).count("1") == full:
+            for x in range(n):
+                if not ball >> x & 1:
+                    counts[x] += 1
+    return counts
+
+
 def first_violation_oracle(g: Digraph, k: int) -> tuple[int, int] | None:
     """Lexicographically first (source, target) joined by two walks of length 0..k."""
     for u in range(g.n):

@@ -23,7 +23,7 @@ from geodex import (
 from geodex.catalog import MAX_ORDER
 from geodex.reach import layers
 from geodex.search import _Engine
-from oracles import bfs_distances, naive_diregular_search, partial_cut_oracle
+from oracles import bfs_distances, naive_diregular_search, outlier_counts, partial_cut_oracle
 
 P222 = SearchParams(d=2, k=2, epsilon=2, diregular=True)
 # (d, k, epsilon, diregular) of the searches that random partials are drawn for
@@ -346,6 +346,12 @@ class TestVerifyOnce:
             search(P222)
 
 
+def _state(engine):
+    """Everything a walk changes and must put back: balls, shut, the masks, max_used, in_full."""
+    return (list(engine.balls), list(engine.shut), list(engine.out_mask), list(engine.in_mask),
+            engine.max_used, engine.in_full)
+
+
 class _EmitLog(_Engine):
     """The engine with the node count and the results so far recorded at every leaf."""
 
@@ -358,23 +364,48 @@ class _EmitLog(_Engine):
         self.log.append((self.nodes, dict(self.results)))
 
 
+P223 = SearchParams(d=2, k=2, epsilon=3, diregular=True)
+P321 = SearchParams(d=3, k=2, epsilon=1, diregular=True)
+
+
 class TestBudgets:
-    @pytest.mark.parametrize("index", [0, 1, 4])
-    def test_every_budget_stops_where_the_walk_does(self, index):
+    # split tasks 0, 1 and 4 of (2,2,+3) (428, 254 and 226 nodes); task 74
+    # of (3,2,+1) (272 nodes), where two of every three frames are derived
+    # from their parent; and task 482 of (3,2,+1), whose first frame has
+    # three candidates, all barred, so the walk pushes no frame at all
+    @pytest.mark.parametrize("params,index", [
+        pytest.param(P223, 0, id="0"), pytest.param(P223, 1, id="1"),
+        pytest.param(P223, 4, id="4"), pytest.param(P321, 74, id="3,2,+1-74"),
+        pytest.param(P321, 482, id="3,2,+1-482-first-frame-barred"),
+    ])
+    def test_every_budget_stops_where_the_walk_does(self, params, index):
         # a budget of b nodes explores the first b nodes of the unbudgeted
         # walk, keeps the classes it emits within them, and stops exactly
-        # when the walk has more than b nodes, wherever the b-th node falls
-        params = SearchParams(d=2, k=2, epsilon=3, diregular=True)
+        # when the walk has more than b nodes, wherever the b-th node falls,
+        # with every arc of the walk taken back
         task = split_tasks(params)[0][index]
         walk = _EmitLog(params, "full", task, budget=None)
         walk.run()
         total = walk.nodes
+        start = _Engine(params, "full", task, budget=None)
+        assert start.enter()
         for b in range(total + 2):
             results = {}
             for at, so_far in walk.log:
                 if at <= b:
                     results = so_far
-            assert run_task(params, task, budget=b) == (results, min(b, total), b < total)
+            engine = _Engine(params, "full", task, budget=b)
+            engine.run()
+            assert (engine.results, engine.nodes, engine.stopped) == (results, min(b, total), b < total)
+            assert _state(engine) == _state(start)
+
+    @pytest.mark.parametrize("budget", range(5))
+    def test_a_stop_in_a_first_frame_with_every_candidate_barred(self, budget):
+        # the stop comes at the end of a frame that was never pushed, with
+        # no arc landed: the audit checks the count and the state left
+        engine = _AuditedEngine(P321, "full", split_tasks(P321)[0][482], budget=budget)
+        engine.run()
+        assert (engine.nodes, engine.checked, engine.stopped) == (min(budget, 3),) * 2 + (budget < 3,)
 
     def test_budget_marks_incomplete(self):
         full = search(P222).nodes_explored
@@ -532,54 +563,78 @@ class TestEmittedInvariants:
 class _AuditedEngine(_Engine):
     """The engine audited at every node it counts and at every DFS frame it restores.
 
-    Each frame's state is recorded when _frame builds it, and every arc
-    must land on exactly that state: the frame restored all it changed
-    for the children before, and in_full must hold exactly the vertices
-    of in-degree d or more.  Inside _dfs each frame also lists its
-    candidates, found one by one from the state: the targets past v's
-    last one up to one past the highest vertex in use, without v and, in
-    diregular mode, without the vertices of in-degree d.  A candidate in
-    the frame's union U is barred: the engine counts it without landing
-    it, so the audit judges it here, by the oracle on the frame's state
-    with that arc added.  checked follows the walk and counts each barred
-    candidate before the next landed one or when its frame ends, and each
-    landed one; a landed one comes only below the budget, and a frame end
-    that the walk goes on from only within it.
+    Each frame's state is recorded when its first arc lands, and every
+    later arc must land on exactly that state: the frame restored all it
+    changed for the children before, and in_full must hold exactly the
+    vertices of in-degree d or more.  A frame must then be v's frame as
+    _frame builds it from the BFS k-balls, whether _frame built it or _dfs
+    derived it from its parent, and the stored balls OR its pending sets
+    must be those k-balls.  After a kept arc the stored balls OR the
+    pending sets grown by what _land returned must be the k-balls, and
+    after a filled row the stored balls alone; in full diregular mode shut
+    must hold, at each level i, the vertices outside at least i+1 full
+    k-balls, counted by a full rescan.  Inside _dfs each frame also lists
+    its candidates when _next_open finds its vertex, one by one from the
+    state: the targets past v's last one up to one past the highest
+    vertex in use, without v and, in diregular mode, without the vertices
+    of in-degree d.  A candidate inside the BFS k-ball of a source within
+    k-1 steps before v is barred: the engine counts it without landing it,
+    so the audit judges it here, by the oracle on the state with that arc
+    added.  A frame with no live candidate is listed too, though the
+    engine never pushes it.  checked follows the walk and counts each
+    barred candidate before the next landed one or when its frame ends,
+    and each landed one; a landed one comes only below the budget, and a
+    frame end that the walk goes on from only within it.
     """
 
     def __init__(self, params, pruning, start, budget):
         super().__init__(params, pruning, start, budget)
         self.pruning = pruning
         self.checked = 0
-        self.opened = {}  # id of a frame -> (the frame, the state it was built from)
+        self.opened = {}  # id of a frame -> (the frame, the state its first arc landed on)
         self.walking = False
-        self.pending = []  # the open DFS frames: (id, [(candidate, barred) not yet passed])
+        # the open DFS frames, keyed by (v, slots of v decided): [(candidate, barred) not yet passed]
+        self.pending = []
 
     def _fresh_balls(self):
         g = Digraph(self.n, self._rows())
         return [sum(1 << x for x, t in bfs_distances(g, u).items() if t <= self.k)
                 for u in range(self.n)]
 
-    def _frame(self, v):
-        frame = super()._frame(v)
-        self.opened[id(frame)] = frame, self._state()
+    def _levels(self, balls):
+        counts = outlier_counts(balls, self.n, self.moore)
+        return [sum(1 << x for x in range(self.n) if counts[x] > i)
+                for i in range(self.params.epsilon + 1)]
+
+    def _check_in_full(self):
         assert self.in_full == sum(1 << w for w in range(self.n)
-                                if self.in_mask[w].bit_count() >= self.d)
-        if self.walking:
+                                   if self.in_mask[w].bit_count() >= self.d)
+
+    def _next_open(self, hint):
+        v = super()._next_open(hint)
+        if self.walking and v is not None:
+            assert self.split_at is None
+            self._check_in_full()
             rows = self._rows()
+            g = Digraph(self.n, rows)
+            union = 0
+            for s in range(self.n):
+                dist = bfs_distances(g, s)
+                if dist.get(v, self.k) < self.k:
+                    union |= sum(1 << x for x, t in dist.items() if t <= self.k)
             hi = min(self.n - 1, max(self.max_used, v) + 1)
             todo = []
             for w in range(self.out_mask[v].bit_length(), hi + 1):
                 if w == v or self.diregular and self.in_mask[w].bit_count() >= self.d:
                     continue
-                barred = bool(frame[2] >> w & 1)
+                barred = bool(union >> w & 1)
                 if barred:
                     partial = Digraph(self.n, [row + (w,) if u == v else row
                                                for u, row in enumerate(rows)])
                     assert _oracle_cuts(partial, self.params, self.pruning)
                 todo.append((w, barred))
-            self.pending.append((id(frame), todo))
-        return frame
+            self.pending.append(((v, self.out_mask[v].bit_count()), todo))
+        return v
 
     def _pass_barred(self, todo):
         """Count and drop the barred candidates at the front of a frame's list.
@@ -591,10 +646,30 @@ class _AuditedEngine(_Engine):
             self.checked += 1
         return bool(todo)
 
+    def _check_grown(self, found, sets):
+        """Assert that the stored balls, with sets[t] added to each source of found[t], are the k-balls."""
+        grown = list(self.balls)
+        for layer, extra in zip(found, sets):
+            for s in range(self.n):
+                if layer >> s & 1:
+                    grown[s] |= extra
+        assert grown == self._fresh_balls()
+
     def _land(self, v, w, frame):
-        assert self._state() == self.opened[id(frame)][1]
+        if id(frame) not in self.opened:
+            self._check_in_full()
+            stored, self.balls = self.balls, self._fresh_balls()
+            try:
+                rebuilt = self._frame(v)
+            finally:
+                self.balls = stored
+            assert frame[:3] == rebuilt[:3]
+            self._check_grown(frame[0], frame[3])
+            self.opened[id(frame)] = frame, _state(self)
+        assert _state(self) == self.opened[id(frame)][1]
         if self.walking:
-            while self.pending[-1][0] != id(frame):  # the frames above it have ended
+            key = v, self.out_mask[v].bit_count()
+            while self.pending[-1][0] != key:  # the frames above it have ended
                 ended = self.pending.pop()[1]
                 self._pass_barred(ended)
                 assert not ended  # with no live candidate left out
@@ -605,23 +680,24 @@ class _AuditedEngine(_Engine):
             del todo[0]
             assert self.budget is None or self.checked < self.budget
             self.checked += 1
-        kept = super()._land(v, w, frame)
+        ahead = super()._land(v, w, frame)
         partial = Digraph(self.n, self._rows())
-        assert kept == (not _oracle_cuts(partial, self.params, self.pruning))
-        if kept:
-            assert self.balls == self._fresh_balls()
-        return kept
-
-    def _state(self):
-        return (list(self.balls), list(self.out_mask), list(self.in_mask), self.max_used,
-                self.in_full)
+        assert bool(ahead) == (not _oracle_cuts(partial, self.params, self.pruning))
+        if ahead:
+            if self.out_mask[v].bit_count() < self.d:
+                self._check_grown(frame[0], [p | new for p, new in zip(frame[3], ahead)])
+            else:
+                assert self.balls == self._fresh_balls()
+            levels = self._levels(self.balls) if self.mult_mode else [0] * len(self.shut)
+            assert self.shut == levels
+        return ahead
 
     def _dfs(self, hint, depth):
-        before = self._state()
+        before = _state(self)
         self.walking = True
         super()._dfs(hint, depth)
         self.walking = False
-        assert self._state() == before
+        assert _state(self) == before
         # past the last landed arc the walk ends frames from the top; it stops
         # before a live candidate once the budget is reached, or at a frame
         # end past the budget, and a stop counts exactly the budget
@@ -669,11 +745,13 @@ class TestIncrementalCheck:
     @settings(max_examples=100, deadline=None)
     def test_matches_full_rescan(self, case, pruning):
         # every node the walk counts and every arc the start partial lands:
-        # its verdict is the oracle's, the stored balls it keeps are the BFS
-        # k-balls, and each frame's restore gives them back
+        # its verdict is the oracle's, the stored balls with the frame's
+        # pending sets are the BFS k-balls, shut is a full rescan's, every
+        # frame is the one _frame builds from the k-balls, and each frame's
+        # restore gives the state back
         params, partial = case
         engine = _AuditedEngine(params, pruning, partial, budget=150)
-        assume(engine.enter())  # the global cuts may drop what basic kept
+        assume(engine.enter())  # the multiplicity cut may drop what basic kept
         initial = list(engine.balls)
         assert initial == engine._fresh_balls()
         engine._dfs(0, 0)
@@ -696,12 +774,12 @@ class TestIncrementalCheck:
             if engine.out_mask[v] >> w & 1:
                 continue
             before = layers(engine.in_mask, v, params.k - 1)
-            saved = list(engine.balls), engine.max_used, engine.in_full
-            verdicts.add(engine._land(v, w, engine._frame(v)))
+            saved = engine.balls, engine.shut, engine.max_used, engine.in_full
+            verdicts.add(bool(engine._land(v, w, engine._frame(v))))
             assert layers(engine.in_mask, v, params.k - 1) == before
             engine.out_mask[v] ^= 1 << w
             engine.in_mask[w] ^= 1 << v
-            engine.balls[:], engine.max_used, engine.in_full = saved
+            engine.balls, engine.shut, engine.max_used, engine.in_full = saved
         assume(verdicts == {False, True})
 
     def test_whole_search_audited(self):
