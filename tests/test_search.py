@@ -370,8 +370,8 @@ P321 = SearchParams(d=3, k=2, epsilon=1, diregular=True)
 
 class TestBudgets:
     # split tasks 0, 1 and 4 of (2,2,+3) (428, 254 and 226 nodes); task 74
-    # of (3,2,+1) (272 nodes), where two of every three frames are derived
-    # from their parent; and task 482 of (3,2,+1), whose first frame has
+    # of (3,2,+1) (272 nodes), where most frames are derived from their
+    # parent; and task 482 of (3,2,+1), whose first frame has
     # three candidates, all barred, so the walk pushes no frame at all
     @pytest.mark.parametrize("params,index", [
         pytest.param(P223, 0, id="0"), pytest.param(P223, 1, id="1"),
@@ -594,7 +594,7 @@ class _AuditedEngine(_Engine):
         self.opened = {}  # id of a frame -> (the frame, the state its first arc landed on)
         self.walking = False
         # the open DFS frames, keyed by (v, slots of v decided): [(candidate, barred) not yet passed]
-        self.pending = []
+        self.listed = []
 
     def _fresh_balls(self):
         g = Digraph(self.n, self._rows())
@@ -633,7 +633,7 @@ class _AuditedEngine(_Engine):
                                                for u, row in enumerate(rows)])
                     assert _oracle_cuts(partial, self.params, self.pruning)
                 todo.append((w, barred))
-            self.pending.append(((v, self.out_mask[v].bit_count()), todo))
+            self.listed.append(((v, self.out_mask[v].bit_count()), todo))
         return v
 
     def _pass_barred(self, todo):
@@ -669,12 +669,12 @@ class _AuditedEngine(_Engine):
         assert _state(self) == self.opened[id(frame)][1]
         if self.walking:
             key = v, self.out_mask[v].bit_count()
-            while self.pending[-1][0] != key:  # the frames above it have ended
-                ended = self.pending.pop()[1]
+            while self.listed[-1][0] != key:  # the frames above it have ended
+                ended = self.listed.pop()[1]
                 self._pass_barred(ended)
                 assert not ended  # with no live candidate left out
             assert self.budget is None or self.checked <= self.budget
-            todo = self.pending[-1][1]
+            todo = self.listed[-1][1]
             self._pass_barred(todo)
             assert todo and todo[0] == (w, False)  # the next candidate, and a live one
             del todo[0]
@@ -688,7 +688,7 @@ class _AuditedEngine(_Engine):
                 self._check_grown(frame[0], [p | new for p, new in zip(frame[3], ahead)])
             else:
                 assert self.balls == self._fresh_balls()
-            levels = self._levels(self.balls) if self.mult_mode else [0] * len(self.shut)
+            levels = self._levels(self._fresh_balls()) if self.mult_mode else [0] * len(self.shut)
             assert self.shut == levels
         return ahead
 
@@ -702,12 +702,12 @@ class _AuditedEngine(_Engine):
         # before a live candidate once the budget is reached, or at a frame
         # end past the budget, and a stop counts exactly the budget
         stop = False
-        while self.pending and not stop:
-            if self._pass_barred(self.pending[-1][1]):
+        while self.listed and not stop:
+            if self._pass_barred(self.listed[-1][1]):
                 assert self.budget is not None and self.checked >= self.budget
                 stop = True
             else:
-                self.pending.pop()
+                self.listed.pop()
                 stop = self.budget is not None and self.checked > self.budget
         assert self.stopped == stop
         if stop:
