@@ -1,8 +1,18 @@
 """Canonical forms, isomorphism testing and automorphism orbits.
 
-The labeling algorithm is ordinary iterated neighbourhood refinement down
-to an equitable ordered partition, then backtracking over the vertices of
-a target cell.  Every discrete leaf yields a relabeling; the canonical
+The labeling algorithm is iterated neighbourhood refinement down to an
+equitable ordered partition, then backtracking over the vertices of a
+target cell.  Each round of refinement splits every cell at once by the
+vertices' degrees and the multisets of cells their out- and
+in-neighbours lie in, and orders the pieces by those multisets as sorted
+tuples.  A multiset is packed into one int instead, one count per cell
+in a field of n.bit_length() bits with the first cell highest, and
+negated: no count exceeds n, so among multisets of one size the smaller
+tuple is the larger packed int, and the order and the pieces are those
+of the tuples.  A splitter queue (McKay & Piperno, "Practical graph
+isomorphism, II", 2014) would reach the same equitable partition with
+its cells in another order, so it would change every form's bytes.
+Every discrete leaf yields a relabeling; the canonical
 form is the lexicographically smallest adjacency encoding over all
 leaves.  Two leaves with equal encodings differ by an automorphism, so
 the walk records one whenever a leaf ties with the first leaf or the
@@ -51,32 +61,45 @@ class OrbitPartition:
 def _refine(g: Digraph, cells: list[list[int]]) -> list[list[int]]:
     # split cells by (out-degree, in-degree, out-colour multiset, in-colour
     # multiset) until no cell splits; cell order is preserved, new cells are
-    # ordered by signature
+    # ordered by signature.  A multiset is packed into one int, the count of
+    # colour ci in a field of width bits, colour 0 in the highest field: no
+    # count exceeds n < 2**width, so among multisets of one size the sorted
+    # tuple is smaller exactly when the packed int is larger, and the
+    # signature (out-degree, in-degree, -packed out, -packed in) sorts as
+    # the tuples did.  After the first round only the cells that the last
+    # round split get a field: within a cell every vertex has the same
+    # degrees and the same count in each cell that did not split, so
+    # leaving those counts out moves no signature against another
     n = g.n
+    out, into = g.out, g.in_lists
+    width = n.bit_length()
+    fresh = cells
     while True:
-        colour = [0] * n
-        for ci, cell in enumerate(cells):
+        top = len(fresh) - 1
+        weight = [0] * n
+        for rank, cell in enumerate(fresh):
+            w = 1 << (top - rank) * width
             for v in cell:
-                colour[v] = ci
+                weight[v] = w
+        wt = weight.__getitem__
         new_cells: list[list[int]] = []
-        changed = False
+        fresh = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
             groups: dict[tuple, list[int]] = {}
             for v in cell:
-                osig = sorted(colour[w] for w in g.out[v])
-                isig = sorted(colour[w] for w in g.in_lists[v])
-                sig = (len(osig), len(isig), tuple(osig), tuple(isig))
+                ov, iv = out[v], into[v]
+                sig = (len(ov), len(iv), -sum(map(wt, ov)), -sum(map(wt, iv)))
                 groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
-                changed = True
                 for sig in sorted(groups):
-                    new_cells.append(sorted(groups[sig]))
-        if not changed:
+                    fresh.append(sorted(groups[sig]))
+                    new_cells.append(fresh[-1])
+        if not fresh:
             return new_cells
         cells = new_cells
 

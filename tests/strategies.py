@@ -51,3 +51,26 @@ def symmetric_digraphs(draw, max_n=6):
     for v in range(n):
         relabelled[perm[v]] = tuple(perm[w] for w in out[v])
     return Digraph(n, relabelled)
+
+
+@st.composite
+def partitioned_digraphs(draw, max_n=40):
+    """A digraph and any ordered partition of its vertices.
+
+    Out-degrees are mixed, loops are allowed and some vertices are
+    isolated; the cells come in any order, each with its vertices in any
+    order, singletons included.
+    """
+    n = draw(st.integers(1, max_n))
+    caps = draw(st.lists(st.sampled_from([0, 1, 2, 3, n]), min_size=1, max_size=4))
+    out = [draw(st.lists(st.integers(0, n - 1), unique=True, max_size=caps[v % len(caps)]))
+           for v in range(n)]
+    order = draw(permutations(n))
+    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    cells = [[order[0]]]
+    for v, cut in zip(order[1:], cuts):
+        if cut:
+            cells.append([v])
+        else:
+            cells[-1].append(v)
+    return Digraph(n, out), cells

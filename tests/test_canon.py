@@ -1,4 +1,6 @@
+import hashlib
 import random
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -7,20 +9,24 @@ from hypothesis import given, settings, strategies as st
 import geodex.canon as canon_module
 from geodex import (
     Digraph,
+    SearchParams,
     are_isomorphic,
     automorphism_orbits,
     canonical_form,
     canonical_relabelling,
+    search,
 )
 from geodex.canon import OrbitPartition
+from geodex.cayley import a4_elements, cayley_digraph
 from oracles import (
+    _tree_refine,
     automorphisms_oracle,
     canon_tree_oracle,
     first_path_levels,
     iso_oracle,
     shuffled,
 )
-from strategies import digraphs, symmetric_digraphs
+from strategies import digraphs, partitioned_digraphs, symmetric_digraphs
 
 THREE_CYCLE = Digraph(3, [(1,), (2,), (0,)])
 
@@ -335,3 +341,57 @@ class TestMemo:
             assert canonical_form(h, memo) == canonical_form(h)
         for key, form in memo.items():
             assert canonical_form(decode(key)) == form
+
+
+class TestRefine:
+    """The packed-count refinement against the sorted-tuple one it replaces."""
+
+    @given(partitioned_digraphs(max_n=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_tuple_refinement(self, case):
+        g, cells = case
+        assert canon_module._refine(g, cells) == _tree_refine(g, cells)
+
+    def test_a_lower_colour_outweighs_every_later_count(self):
+        # 0 sees colours (1, 4, 4, 4, 4), 1 sees (2, 2, 2, 2, 2): 0 comes
+        # first, but only if one count in cell 1's field outweighs the five
+        # in cell 2's, which fields of n.bit_length() - 2 bits do not
+        cells = [[1, 0], [2], [3, 4, 5, 6, 7], [8], [9, 10, 11, 12]]
+        out = [[2, 9, 10, 11, 12], [3, 4, 5, 6, 7]] + [[]] * 11
+        g = Digraph(13, out)
+        refined = canon_module._refine(g, cells)
+        assert refined[:2] == [[0], [1]]
+        assert refined == _tree_refine(g, cells)
+
+
+def _sha256(chunks):
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+class TestPinnedBytes:
+    """Canonical bytes that checkpoints, memo keys and stored results rely on."""
+
+    def test_catalog_a(self, cat_a):
+        assert canonical_form(cat_a).hex() == "0000000918406048404980a0880300"
+
+    @pytest.mark.parametrize("epsilon, digest", [
+        (2, "c7d5c7eb26a73e32ad11d7e0d7a2b10b4dbc3d3570c20932663cfa398813006d"),
+        (3, "0675726dfd891eaaead55ac4a5c791f4dbb994939c15082b00cfde94ff660a73"),
+    ])
+    def test_diregular_class_forms(self, epsilon, digest):
+        outcome = search(SearchParams(d=2, k=2, epsilon=epsilon, diregular=True))
+        assert _sha256(sorted(r.form.data for r in outcome.results)) == digest
+
+    def test_a4_cayley_digraphs(self):
+        forms = [canonical_form(cayley_digraph(pair)).data
+                 for pair in combinations(a4_elements(), 2)]
+        assert len(forms) == 66
+        assert _sha256(forms) == "864511f134ee7282ed32fd774d119d6b61e1b3e36b2dbf819536c4c7b2d97a41"
+
+    def test_directed_path_of_order_1000(self):
+        g = Digraph(1000, [(v + 1,) for v in range(999)] + [()])
+        assert (_sha256([canonical_form(g).data])
+                == "75e2a1999b7cb81787c16420d8e65e26df2520b6155892b06ede389b676460b2")
