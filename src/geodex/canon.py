@@ -6,18 +6,22 @@ target cell.  Each round of refinement splits every cell at once by the
 vertices' degrees and the multisets of cells their out- and
 in-neighbours lie in, and orders the pieces by those multisets as sorted
 tuples.  A multiset is packed into one int instead, one count per cell
-in a field of n.bit_length() bits with the first cell highest, and
-negated: no count exceeds n, so among multisets of one size the smaller
-tuple is the larger packed int, and the order and the pieces are those
-of the tuples.  A splitter queue (McKay & Piperno, "Practical graph
-isomorphism, II", 2014) would reach the same equitable partition with
-its cells in another order, so it would change every form's bytes.
-Every discrete leaf yields a relabeling; the canonical
-form is the lexicographically smallest adjacency encoding over all
-leaves.  Two leaves with equal encodings differ by an automorphism, so
-the walk records one whenever a leaf ties with the first leaf or the
-best so far (McKay, "Practical graph isomorphism", 1981).  It then skips
-a child that the recorded automorphisms fixing the path's individualised
+in a field wide enough for the largest cell's size, the first cell
+highest, and negated: no count exceeds its cell's size, so among
+multisets of one size the smaller tuple is the larger packed int, and
+the pieces and their order are those of the tuples.  After the first
+round only the cells that the last round split get a field; the others
+add the same count to every vertex of a cell.  A splitter queue (McKay &
+Piperno, "Practical graph isomorphism, II", 2014) would reach the same
+equitable partition with its cells in another order, so it would change
+every form's bytes.
+
+Every discrete leaf yields a relabeling; the canonical form is the
+lexicographically smallest adjacency encoding over all leaves.  Two
+leaves with equal encodings differ by an automorphism, so the walk
+records one whenever a leaf ties with the first leaf or the best so far
+(McKay, "Practical graph isomorphism", 1981).  It then skips a child
+that the recorded automorphisms fixing the path's individualised
 vertices map onto an explored sibling, and leaves at once a subtree that
 a new automorphism maps onto an explored one.  A skipped subtree is the
 image of one walked earlier, so it holds no smaller encoding and not the
@@ -63,19 +67,20 @@ def _refine(g: Digraph, cells: list[list[int]]) -> list[list[int]]:
     # multiset) until no cell splits; cell order is preserved, new cells are
     # ordered by signature.  A multiset is packed into one int, the count of
     # colour ci in a field of width bits, colour 0 in the highest field: no
-    # count exceeds n < 2**width, so among multisets of one size the sorted
-    # tuple is smaller exactly when the packed int is larger, and the
-    # signature (out-degree, in-degree, -packed out, -packed in) sorts as
-    # the tuples did.  After the first round only the cells that the last
-    # round split get a field: within a cell every vertex has the same
-    # degrees and the same count in each cell that did not split, so
-    # leaving those counts out moves no signature against another
+    # count exceeds its cell's size < 2**width, so among multisets of one
+    # size the sorted tuple is smaller exactly when the packed int is
+    # larger, and the signature (out-degree, in-degree, -packed out,
+    # -packed in) sorts as the tuples did.  After the first round only the
+    # cells that the last round split get a field: within a cell every
+    # vertex has the same degrees and the same count in each cell that did
+    # not split, so leaving those counts out moves no signature against
+    # another
     n = g.n
     out, into = g.out, g.in_lists
-    width = n.bit_length()
     fresh = cells
     while True:
         top = len(fresh) - 1
+        width = max(map(len, fresh)).bit_length()
         weight = [0] * n
         for rank, cell in enumerate(fresh):
             w = 1 << (top - rank) * width

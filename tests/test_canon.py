@@ -355,7 +355,7 @@ class TestRefine:
     def test_a_lower_colour_outweighs_every_later_count(self):
         # 0 sees colours (1, 4, 4, 4, 4), 1 sees (2, 2, 2, 2, 2): 0 comes
         # first, but only if one count in cell 1's field outweighs the five
-        # in cell 2's, which fields of n.bit_length() - 2 bits do not
+        # in cell 2's, which fields too narrow for a count of 5 do not
         cells = [[1, 0], [2], [3, 4, 5, 6, 7], [8], [9, 10, 11, 12]]
         out = [[2, 9, 10, 11, 12], [3, 4, 5, 6, 7]] + [[]] * 11
         g = Digraph(13, out)
