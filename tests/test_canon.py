@@ -364,13 +364,6 @@ class TestRefine:
         assert refined == _tree_refine(g, cells)
 
 
-def _sha256(chunks):
-    h = hashlib.sha256()
-    for chunk in chunks:
-        h.update(chunk)
-    return h.hexdigest()
-
-
 class TestPinnedBytes:
     """Canonical bytes that checkpoints, memo keys and stored results rely on."""
 
@@ -383,15 +376,17 @@ class TestPinnedBytes:
     ])
     def test_diregular_class_forms(self, epsilon, digest):
         outcome = search(SearchParams(d=2, k=2, epsilon=epsilon, diregular=True))
-        assert _sha256(sorted(r.form.data for r in outcome.results)) == digest
+        forms = sorted(r.form.data for r in outcome.results)
+        assert hashlib.sha256(b"".join(forms)).hexdigest() == digest
 
     def test_a4_cayley_digraphs(self):
         forms = [canonical_form(cayley_digraph(pair)).data
                  for pair in combinations(a4_elements(), 2)]
         assert len(forms) == 66
-        assert _sha256(forms) == "864511f134ee7282ed32fd774d119d6b61e1b3e36b2dbf819536c4c7b2d97a41"
+        assert (hashlib.sha256(b"".join(forms)).hexdigest()
+                == "864511f134ee7282ed32fd774d119d6b61e1b3e36b2dbf819536c4c7b2d97a41")
 
     def test_directed_path_of_order_1000(self):
         g = Digraph(1000, [(v + 1,) for v in range(999)] + [()])
-        assert (_sha256([canonical_form(g).data])
+        assert (hashlib.sha256(canonical_form(g).data).hexdigest()
                 == "75e2a1999b7cb81787c16420d8e65e26df2520b6155892b06ede389b676460b2")
