@@ -52,6 +52,7 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import repeat
+from operator import and_, or_
 from typing import TextIO
 
 from .canon import CanonicalForm, canonical_form
@@ -259,20 +260,20 @@ class _Engine:
         if not ahead:
             return None
         ahead.reverse()
-        for u, new in zip(unions, ahead):
-            if u & new:
-                return None
+        if any(map(and_, unions, ahead)):
+            return None
         if out_mask[v].bit_count() < self.d:
             return ahead
         self.balls = self.balls[:]
-        finished = self._grow(found, [p | new for p, new in zip(pending, ahead)])
+        finished = self._grow(found, list(map(or_, pending, ahead)))
         if self.mult_mode and finished:
             # a finished ball pins its outliers for every completion;
-            # shut counts each vertex's finished balls in unary, up to epsilon+1
+            # shut counts each vertex's finished balls in unary, up to epsilon+1:
+            # level i gains the outliers in level i-1, and level 0 gains them all
             shut, everyone = self.shut, self.everyone
             for ball in finished:
                 out = everyone & ~ball
-                shut = [shut[0] | out] + [hi | lo & out for lo, hi in zip(shut, shut[1:])]
+                shut = list(map(or_, shut, map(and_, [everyone, *shut[:-1]], repeat(out))))
             self.shut = shut
             if shut[-1]:
                 return None
@@ -366,7 +367,9 @@ class _Engine:
                 self.tasks.append(Digraph(n, self._rows()))
             else:
                 lo = out_mask[v].bit_length()
-                hi = min(n - 1, max(self.max_used, v) + 1)
+                hi = self.max_used if self.max_used > v else v
+                if hi < n - 1:
+                    hi += 1
                 cands = ((2 << hi) - (1 << lo)) & ~(1 << v)
                 if diregular:
                     cands &= ~self.in_full
@@ -375,8 +378,8 @@ class _Engine:
                     union |= ahead[0]
                     live = cands & ~union
                     if live:
-                        frame = (found, [u | new for u, new in zip(unions, ahead)], union,
-                                 [p | new for p, new in zip(pending, ahead)])
+                        frame = (found, list(map(or_, unions, ahead)), union,
+                                 list(map(or_, pending, ahead)))
                 else:
                     frame = self._frame(v)
                     union = frame[2]
@@ -572,8 +575,8 @@ class Checkpoint:
         tmp = self.path + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump({"key": self.key, "done": self.done}, fh)
-                fh.write("\n")
+                # json.dumps encodes in C; json.dump to a file runs the pure-Python encoder
+                fh.write(json.dumps({"key": self.key, "done": self.done}) + "\n")
             os.replace(tmp, self.path)
         except OSError as exc:
             with contextlib.suppress(OSError):

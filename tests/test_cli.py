@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import resource
@@ -304,6 +305,16 @@ class TestSearchCheckpoint:
         assert invoke(*SEARCH_222, "--checkpoint", str(cp))[0] == 0
         assert writes == [str(cp)]  # once read, never again: no task changed it
         assert cp.read_bytes() == before
+
+    def test_finished_checkpoint_bytes_pinned(self, tmp_path):
+        # a stored checkpoint is read back by later versions, so its bytes stay put
+        cp = tmp_path / "cp.json"
+        assert invoke("search", "--d", "2", "--k", "2", "--excess", "3", "--diregular",
+                      "--checkpoint", str(cp))[0] == 0
+        data = cp.read_bytes()
+        assert len(data) == 16125
+        assert hashlib.sha256(data).hexdigest() == (
+            "0d22364586ec9333038fe7213684378fdb156498f09802191901a56800cfa192")
 
     def test_mismatched_params_rejected(self, tmp_path):
         cp = tmp_path / "cp.json"

@@ -789,6 +789,20 @@ class TestIncrementalCheck:
         assert len(engine.results) == 2
         assert engine.balls == engine._fresh_balls()
 
+    # whole split tasks, unbudgeted: three backward layers per frame on
+    # (2,3,+2), rows with two derived frames on (3,2,+1), and five shut
+    # levels on (2,2,+4), whose task emits 68 leaves in 25 classes
+    @pytest.mark.parametrize("params,index,nodes,classes", [
+        pytest.param(SearchParams(2, 3, 2, True), 165, 5239, 0, id="2,3,+2-165"),
+        pytest.param(P321, 151, 5972, 0, id="3,2,+1-151"),
+        pytest.param(SearchParams(2, 2, 4, True), 24, 5426, 25, id="2,2,+4-24"),
+    ])
+    def test_whole_task_audited(self, params, index, nodes, classes):
+        engine = _AuditedEngine(params, "full", split_tasks(params)[0][index], budget=None)
+        engine.run()
+        assert engine.nodes == engine.checked == nodes
+        assert len(engine.results) == classes
+
 
 def _twin_violations(g, k):
     """The twin lemma's conditions that fail on g, from BFS distances alone.
