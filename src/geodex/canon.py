@@ -120,25 +120,20 @@ def _target_cell(cells: list[list[int]]) -> int | None:
     return best
 
 
-def _code(g: Digraph, lab: list[int]) -> int:
-    # adjacency of the relabeled digraph as n rows of n bits, new row 0
-    # first; bit n-1-j of row i is set when new vertex i has an arc to j
+def _code(g: Digraph, lab: list[int]) -> bytes:
+    # the form's bytes of the relabeled digraph: the order as 4 big-endian
+    # bytes, then the row-major adjacency bits most significant first, so
+    # bit 32 + i*n + j is set when new vertex i has an arc to new vertex j;
+    # the padding bits at the end stay 0
     n = g.n
-    rows = [0] * n
-    for v in range(n):
-        r = 0
-        for w in g.out[v]:
-            r |= 1 << (n - 1 - lab[w])
-        rows[lab[v]] = r
-    code = 0
-    for r in rows:
-        code = code << n | r
-    return code
-
-
-def _pack(n: int, code: int) -> bytes:
-    nbytes = (n * n + 7) // 8
-    return n.to_bytes(4, "big") + (code << nbytes * 8 - n * n).to_bytes(nbytes, "big")
+    data = bytearray(4 + (n * n + 7) // 8)
+    data[:4] = n.to_bytes(4, "big")
+    for v, targets in enumerate(g.out):
+        row = 32 + lab[v] * n
+        for w in targets:
+            bit = row + lab[w]
+            data[bit >> 3] |= 128 >> (bit & 7)
+    return bytes(data)
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -168,7 +163,7 @@ def _best_labelings(g: Digraph, memo: dict | None = None
     n = g.n
     path: list[int] = []
     auts: list[list[int]] = []
-    leaves: list[int] = []
+    leaves: list[bytes] = []
     first = best = None  # (code, labeling, path) of the first and the best leaf
     hit = None
 
@@ -181,7 +176,7 @@ def _best_labelings(g: Digraph, memo: dict | None = None
         leaves.append(code)
         if first is None:
             first = best = code, lab, tuple(path)
-            hit = memo.get(_pack(n, code)) if memo is not None else None
+            hit = memo.get(code) if memo is not None else None
             return -1 if hit else len(path)
         for code0, lab0, path0 in (first, best):
             if code == code0:
@@ -232,10 +227,10 @@ def _best_labelings(g: Digraph, memo: dict | None = None
     walk([list(range(n))])
     if hit:
         return hit, None, []
-    form = CanonicalForm(_pack(n, best[0]))
+    form = CanonicalForm(best[0])
     if memo is not None:
         for code in leaves:
-            memo[_pack(n, code)] = form
+            memo[code] = form
     return form, best[1], auts
 
 

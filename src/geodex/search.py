@@ -234,8 +234,10 @@ class _Engine:
         w in U cuts before any scan; _dfs counts such a w without calling
         this, while enter() and the tests still get that verdict here.
         Otherwise one scan of w's balls and one AND per layer decide.
-        Walks from w can only meet each other by returning to w, which
-        the source w then fails too; the scan stops early for that case.
+        That scan finds no two walks from w that meet: every stored ball
+        holds its source, so a w outside U is more than k-1 steps from v,
+        no walk of length at most k-1 from w uses the new arc, and
+        without it the partial was k-geodetic.
         A kept arc that leaves v's row open touches no stored ball: the
         caller carries its sets in the frame's pending sets.  The arc that
         fills the row commits each layer's pending set and its own to a
@@ -257,8 +259,6 @@ class _Engine:
         if union >> w & 1:
             return None
         ahead = geodetic_balls(out_mask, w, self.k - 1)
-        if not ahead:
-            return None
         ahead.reverse()
         if any(map(and_, unions, ahead)):
             return None

@@ -1,4 +1,6 @@
-"""Shared hypothesis strategies for digraph property tests."""
+"""Shared hypothesis strategies for digraph property tests, and seeded digraphs."""
+
+import random
 
 from hypothesis import strategies as st
 
@@ -74,3 +76,13 @@ def partitioned_digraphs(draw, max_n=40):
         else:
             cells[-1].append(v)
     return Digraph(n, out), cells
+
+
+def two_out_digraph(n, seed):
+    """A seeded random digraph in which every vertex has 2 out-neighbours.
+
+    Loops are allowed.  Not a strategy: the same seed gives the same
+    digraph in every run, so its canonical bytes can be pinned.
+    """
+    rng = random.Random(seed)
+    return Digraph(n, [rng.sample(range(n), 2) for _ in range(n)])

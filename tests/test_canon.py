@@ -26,7 +26,7 @@ from oracles import (
     iso_oracle,
     shuffled,
 )
-from strategies import digraphs, partitioned_digraphs, symmetric_digraphs
+from strategies import digraphs, partitioned_digraphs, symmetric_digraphs, two_out_digraph
 
 THREE_CYCLE = Digraph(3, [(1,), (2,), (0,)])
 
@@ -79,6 +79,10 @@ class TestCanonicalForm:
 
 
 class TestCanonicalRelabelling:
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="canonical form requires at least one vertex"):
+            canonical_relabelling(Digraph(0, []))
+
     def test_produces_the_canonical_encoding(self, cat_a):
         lab = canonical_relabelling(cat_a)
         assert sorted(lab) == list(range(9))
@@ -98,6 +102,9 @@ class TestAreIsomorphic:
 
     def test_different_orders(self):
         assert not are_isomorphic(THREE_CYCLE, Digraph(4, [(1,), (2,), (3,), (0,)]))
+
+    def test_two_empty_digraphs(self):
+        assert are_isomorphic(Digraph(0, []), Digraph(0, []))
 
     def test_shuffled_copies(self, cat_b):
         rng = random.Random(3)
@@ -122,6 +129,10 @@ class TestAreIsomorphic:
 
 
 class TestAutomorphismOrbits:
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="orbit partition requires at least one vertex"):
+            automorphism_orbits(Digraph(0, []))
+
     def test_three_cycle_transitive(self):
         p = automorphism_orbits(THREE_CYCLE)
         assert p.orbit_count == 1
@@ -390,3 +401,14 @@ class TestPinnedBytes:
         g = Digraph(1000, [(v + 1,) for v in range(999)] + [()])
         assert (hashlib.sha256(canonical_form(g).data).hexdigest()
                 == "75e2a1999b7cb81787c16420d8e65e26df2520b6155892b06ede389b676460b2")
+
+    @pytest.mark.parametrize("n, digest", [
+        # 4,095**2 bits leave 7 zero bits of padding in the last byte, 4,096**2 none
+        (4095, "209c1295768c5e4dc38eefbb54821a9f6ae33233f995fe5c9ba742e0d3e4e8a8"),
+        (4096, "71b83eef63efaeded3d40242940f1f6baae5760b20846b4d7a899e09da262a8b"),
+    ])
+    def test_random_two_out_digraphs_up_to_the_order_limit(self, n, digest):
+        data = canonical_form(two_out_digraph(n, seed=n)).data
+        assert len(data) == 4 + (n * n + 7) // 8
+        assert data[-1] & ((1 << -n * n % 8) - 1) == 0
+        assert hashlib.sha256(data).hexdigest() == digest

@@ -119,6 +119,19 @@ class TestRead:
         with pytest.raises(DigraphFormatError, match="header"):
             read_digraph("0: 1\n")
 
+    @pytest.mark.parametrize("text", ["", "\n# no header\n\n"])
+    def test_no_header_line_at_all(self, text):
+        with pytest.raises(DigraphFormatError, match="line 1: missing header 'n <order>'"):
+            read_digraph(text)
+
+    def test_negative_order(self):
+        with pytest.raises(DigraphFormatError, match="line 1: order must be non-negative, got -1"):
+            read_digraph("n -1\n")
+
+    def test_non_integer_vertex_index(self):
+        with pytest.raises(DigraphFormatError, match="line 2: vertex index is not an integer: 'x'"):
+            read_digraph("n 2\nx: 1\n")
+
     def test_bad_header_order(self):
         with pytest.raises(DigraphFormatError, match="line 1"):
             read_digraph("n x\n")

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 import resource
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 from geodex import Digraph, canonical_form, catalog_a, catalog_b, read_digraph, write_digraph
 from geodex.catalog import MAX_ORDER
 from geodex.cli import run
+from oracles import shuffled
+from strategies import two_out_digraph
 
 
 _TOO_DEEP = ("error: depth 10000000000 is too large for degree 2: "
@@ -145,6 +148,17 @@ class TestCanon:
         assert (code, out) == (2, "")
         assert err == "error: canonical form requires at least one vertex\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: missing header 'n <order>'"),
+        ("# no header\n", "line 1: missing header 'n <order>'"),
+        ("n -1\n", "line 1: order must be non-negative, got -1"),
+        ("n 2\nx: 1\n", "line 2: vertex index is not an integer: 'x'"),
+    ], ids=["empty", "comment-only", "negative-order", "non-integer-vertex"])
+    def test_input_error_is_one_line(self, tmp_path, text, message):
+        p = tmp_path / "bad.dg"
+        p.write_text(text)
+        assert invoke("canon", str(p)) == (2, "", f"error: {p}: {message}\n")
+
     def test_order_above_limit(self, tmp_path):
         p = tmp_path / "huge.dg"
         p.write_text(f"n {MAX_ORDER + 1}\n")
@@ -163,6 +177,13 @@ class TestIso:
         code, out, _ = invoke("iso", a_path, b_path)
         assert code == 1
         assert out.strip() == "non-isomorphic"
+
+    def test_relabelled_copy_at_the_order_limit(self, tmp_path):
+        g = two_out_digraph(MAX_ORDER, seed=MAX_ORDER)
+        a, b = tmp_path / "a.dg", tmp_path / "b.dg"
+        a.write_text(write_digraph(g))
+        b.write_text(write_digraph(shuffled(random.Random(0), g)))
+        assert invoke("iso", str(a), str(b)) == (0, "isomorphic\n", "")
 
 
 class TestCensus:
@@ -233,6 +254,10 @@ class TestSearch:
         )
         assert code == 1
         assert "complete=false" in out
+
+    def test_no_workers_refused(self):
+        assert invoke("search", "--d", "2", "--k", "2", "--excess", "2", "--diregular",
+                      "--jobs", "0") == (2, "", "error: worker count must be at least 1, got 0\n")
 
     def test_jobs_flag_matches_serial(self):
         serial = invoke("search", "--d", "2", "--k", "2", "--excess", "2",

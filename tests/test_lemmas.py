@@ -172,6 +172,12 @@ class TestPairExistsLemma:
         assert not r.applicable
         assert r.reason
 
+    def test_not_applicable_at_order_9_off_spec(self):
+        # the order is moore_bound(2, 2) + 2, but a 9-cycle has out-degree 1
+        r = check_lemma_pair_exists(Digraph(9, [((v + 1) % 9,) for v in range(9)]))
+        assert (r.applicable, r.holds) == (False, None)
+        assert r.reason == "not a diregular (2,2,+2)-digraph"
+
 
 class TestOutlierMultiplicity:
     def test_catalogs_all_two(self, cat_a, cat_b):

@@ -407,6 +407,10 @@ class TestBudgets:
         engine.run()
         assert (engine.nodes, engine.checked, engine.stopped) == (min(budget, 3),) * 2 + (budget < 3,)
 
+    def test_no_workers_refused(self):
+        with pytest.raises(ValueError, match="worker count must be at least 1, got 0"):
+            search(P222, jobs=0)
+
     def test_budget_marks_incomplete(self):
         full = search(P222).nodes_explored
         out = search(SearchParams(d=2, k=2, epsilon=2, diregular=True,
@@ -423,6 +427,31 @@ class TestBudgets:
         out = search(SearchParams(d=2, k=2, epsilon=2, diregular=True, max_results=1))
         assert len(out.results) == 1
         assert not out.complete
+
+    @pytest.mark.parametrize("d, k, epsilon, diregular, max_results", [
+        (2, 2, 3, True, 1), (2, 2, 3, True, 2), (1, 2, 1, False, 1)])
+    def test_max_results_cuts_an_overshooting_task(self, d, k, epsilon, diregular, max_results):
+        # the first diregular (2,2,+3) task with results adds 3 classes, so
+        # the run stops after it with more classes than asked for; the
+        # out-regular (1,2,+1) split finds 2 classes and leaves no task, so
+        # that run ends without a stop.  Both keep the first max_results in
+        # form order and are incomplete
+        params = SearchParams(d, k, epsilon, diregular, max_results=max_results)
+        tasks, stats = split_tasks(params)
+        merged, nodes = dict(stats["results"]), stats["nodes"]
+        for task in tasks:
+            results, size, _ = run_task(params, task)
+            nodes += size
+            for data, g in results.items():
+                merged.setdefault(data, g)
+            if len(merged) >= max_results:
+                break
+        assert len(merged) > max_results
+        out = search(params)
+        assert [(r.form.data, r.digraph) for r in out.results] == sorted(merged.items())[:max_results]
+        assert out.nodes_explored == nodes
+        assert not out.complete
+        assert search(params, jobs=2) == out
 
     def test_budget_of_the_whole_tree_completes(self):
         out = search(SearchParams(2, 2, 2, True, max_nodes=3724))
