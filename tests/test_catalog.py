@@ -119,18 +119,16 @@ class TestRead:
         with pytest.raises(DigraphFormatError, match="header"):
             read_digraph("0: 1\n")
 
-    @pytest.mark.parametrize("text", ["", "\n# no header\n\n"])
-    def test_no_header_line_at_all(self, text):
-        with pytest.raises(DigraphFormatError, match="line 1: missing header 'n <order>'"):
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: missing header 'n <order>'"),
+        ("\n# no header\n\n", "line 1: missing header 'n <order>'"),
+        ("n -1\n", "line 1: order must be non-negative, got -1"),
+        ("n 2\nx: 1\n", "line 2: vertex index is not an integer: 'x'"),
+    ], ids=["empty", "comment-only", "negative-order", "non-integer-vertex"])
+    def test_rejects_with_its_message(self, text, message):
+        with pytest.raises(DigraphFormatError) as exc:
             read_digraph(text)
-
-    def test_negative_order(self):
-        with pytest.raises(DigraphFormatError, match="line 1: order must be non-negative, got -1"):
-            read_digraph("n -1\n")
-
-    def test_non_integer_vertex_index(self):
-        with pytest.raises(DigraphFormatError, match="line 2: vertex index is not an integer: 'x'"):
-            read_digraph("n 2\nx: 1\n")
+        assert str(exc.value) == message
 
     def test_bad_header_order(self):
         with pytest.raises(DigraphFormatError, match="line 1"):

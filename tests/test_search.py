@@ -430,7 +430,7 @@ class TestBudgets:
 
     @pytest.mark.parametrize("d, k, epsilon, diregular, max_results", [
         (2, 2, 3, True, 1), (2, 2, 3, True, 2), (1, 2, 1, False, 1)])
-    def test_max_results_cuts_an_overshooting_task(self, d, k, epsilon, diregular, max_results):
+    def test_max_results_cuts_an_overshoot(self, d, k, epsilon, diregular, max_results):
         # the first diregular (2,2,+3) task with results adds 3 classes, so
         # the run stops after it with more classes than asked for; the
         # out-regular (1,2,+1) split finds 2 classes and leaves no task, so
