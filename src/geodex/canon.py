@@ -11,7 +11,16 @@ highest, and negated: no count exceeds its cell's size, so among
 multisets of one size the smaller tuple is the larger packed int, and
 the pieces and their order are those of the tuples.  After the first
 round only the cells that the last round split get a field; the others
-add the same count to every vertex of a cell.  A splitter queue (McKay &
+add the same count to every vertex of a cell.  Two first rounds sign
+less.  On a single cell every count is a degree, so the round signs by
+out- and in-degree alone, and a degree-regular digraph, such as every
+diregular leaf of a search, is equitable at once.  When the walk splits
+a vertex v off in front of its cell, the partition it splits is
+equitable: a vertex's count in the cell's rest is its old count less its
+count in [v], and [v]'s field lies above the rest's, so only cells that
+hold a neighbour of v can split, by whether a vertex has an arc to v and
+an arc from v, and in that order.  Both rounds give the pieces of the
+full round in its order, so no byte moves.  A splitter queue (McKay &
 Piperno, "Practical graph isomorphism, II", 2014) would reach the same
 equitable partition with its cells in another order, so it would change
 every form's bytes.
@@ -62,7 +71,8 @@ class OrbitPartition:
     orbit_count: int
 
 
-def _refine(g: Digraph, cells: list[list[int]]) -> list[list[int]]:
+def _refine(g: Digraph, cells: list[list[int]], v: int | None = None
+            ) -> list[list[int]]:
     # split cells by (out-degree, in-degree, out-colour multiset, in-colour
     # multiset) until no cell splits; cell order is preserved, new cells are
     # ordered by signature.  A multiset is packed into one int, the count of
@@ -74,30 +84,63 @@ def _refine(g: Digraph, cells: list[list[int]]) -> list[list[int]]:
     # cells that the last round split get a field: within a cell every
     # vertex has the same degrees and the same count in each cell that did
     # not split, so leaving those counts out moves no signature against
-    # another
+    # another.
+    # Two first rounds sign less and split the same.  On one cell every
+    # count is a degree, so (out-degree, in-degree, -out-degree, -in-degree)
+    # sorts as the degrees alone, and a degree-regular digraph returns at
+    # once.  When v was just split off in front of the rest of its cell in
+    # a partition that this function returned, a vertex had the same count
+    # in every cell as the others of its cell, and its count in the rest is
+    # that count less its count in [v]; so [v]'s field, above the rest's,
+    # is the first that can differ, only a cell that holds an in- or
+    # out-neighbour of v can split, and its pieces come in the order of
+    # (arc to v, arc from v), descending.  first[u] is u's key in that round;
+    # a vertex without one has no arc to or from v
     n = g.n
     out, into = g.out, g.in_lists
     fresh = cells
+    if v is not None or len(cells) == 1:
+        if v is None:
+            first = dict(enumerate(zip(map(len, out), map(len, into))))
+        else:
+            to_v, from_v = set(into[v]), set(out[v])
+            first = {u: (u not in to_v, u not in from_v) for u in to_v | from_v}
+        new_cells: list[list[int]] = []
+        fresh = []
+        for cell in cells:
+            if len(cell) > 1 and not first.keys().isdisjoint(cell):
+                groups: dict[tuple, list[int]] = {}
+                for u in cell:
+                    groups.setdefault(first.get(u, (True, True)), []).append(u)
+                if len(groups) > 1:
+                    for sig in sorted(groups):
+                        fresh.append(sorted(groups[sig]))
+                        new_cells.append(fresh[-1])
+                    continue
+            new_cells.append(cell)
+        if not fresh:
+            return new_cells
+        cells = new_cells
     while True:
         top = len(fresh) - 1
         width = max(map(len, fresh)).bit_length()
         weight = [0] * n
         for rank, cell in enumerate(fresh):
             w = 1 << (top - rank) * width
-            for v in cell:
-                weight[v] = w
+            for u in cell:
+                weight[u] = w
         wt = weight.__getitem__
-        new_cells: list[list[int]] = []
+        new_cells = []
         fresh = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            groups: dict[tuple, list[int]] = {}
-            for v in cell:
-                ov, iv = out[v], into[v]
-                sig = (len(ov), len(iv), -sum(map(wt, ov)), -sum(map(wt, iv)))
-                groups.setdefault(sig, []).append(v)
+            groups = {}
+            for u in cell:
+                ou, iu = out[u], into[u]
+                sig = (len(ou), len(iu), -sum(map(wt, ou)), -sum(map(wt, iu)))
+                groups.setdefault(sig, []).append(u)
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
@@ -195,10 +238,10 @@ def _best_labelings(g: Digraph, memo: dict | None = None
             best = code, lab, tuple(path)
         return len(path)
 
-    def walk(cells: list[list[int]]) -> int:
+    def walk(cells: list[list[int]], v: int | None = None) -> int:
         # returns the depth of the node to go on at: this node's own depth
         # or more means its next child, less means unwind to that node
-        cells = _refine(g, cells)
+        cells = _refine(g, cells, v)
         target = _target_cell(cells)
         if target is None:
             return leaf(cells)
@@ -218,13 +261,16 @@ def _best_labelings(g: Digraph, memo: dict | None = None
                     continue
             explored.append(v)
             path.append(v)
-            back = walk(cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1:])
+            back = walk(cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1:], v)
             path.pop()
             if back < depth:
                 return back
         return depth
 
     walk([list(range(n))])
+    # walk reaches itself through its closure cell; emptying the cell lets
+    # reference counting free the call, with nothing left for the cyclic GC
+    del walk
     if hit:
         return hit, None, []
     form = CanonicalForm(best[0])

@@ -44,9 +44,7 @@ extend.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
-import hashlib
 import json
 import os
 import sys
@@ -515,6 +513,8 @@ class Checkpoint:
         verify and be stored under its own canonical form.  A fault raises
         ValueError and leaves the file as it was.
         """
+        import hashlib  # only a checkpointed search hashes, so others skip the import
+
         shape = json.dumps([task.out for task in tasks]).encode()
         self.total = len(tasks)
         self.key = {"version": CHECKPOINT_VERSION, "d": params.d, "k": params.k,
@@ -613,7 +613,11 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
     complete = exhausted = False
     # more workers than pending tasks or cores would only sit idle
     workers = min(jobs, len(pending), os.cpu_count() or 1)
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        import concurrent.futures  # only a pooled search pays for the import
+
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
     try:
         # Every task gets the budget left after the split (below 0 it stops
         # at once); the acceptance check makes that agree with the budget left now.

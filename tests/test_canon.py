@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from itertools import combinations
@@ -300,9 +301,9 @@ def refine_calls(fn):
     calls = []
     real = canon_module._refine
 
-    def counting(g, cells):
+    def counting(g, cells, v=None):
         calls.append(1)
-        return real(g, cells)
+        return real(g, cells, v)
 
     with mock.patch.object(canon_module, "_refine", counting):
         result = fn()
@@ -373,6 +374,69 @@ class TestRefine:
         refined = canon_module._refine(g, cells)
         assert refined[:2] == [[0], [1]]
         assert refined == _tree_refine(g, cells)
+
+    @given(partitioned_digraphs(max_n=40), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_individualisation_round(self, case, data):
+        # as the walk does: v split off in front of the rest of its cell in
+        # an equitable partition, then only v's neighbours' cells signed
+        g, cells = case
+        cells = canon_module._refine(g, cells)
+        wide = [ci for ci, cell in enumerate(cells) if len(cell) > 1]
+        if not wide:
+            return
+        ci = data.draw(st.sampled_from(wide))
+        v = data.draw(st.sampled_from(cells[ci]))
+        split = cells[:ci] + [[v], [w for w in cells[ci] if w != v]] + cells[ci + 1:]
+        assert canon_module._refine(g, split, v) == _tree_refine(g, split)
+
+    @pytest.mark.parametrize("out", [
+        [(1, 2), (2, 3), (3, 0), (0, 1)],  # diregular: returns at once
+        [(1,), (2,), (0,), (4,), (5,), (3,)],  # two directed triangles
+        [(), (), ()],  # edgeless
+        [(0,), (1,)],  # two loops
+        [(1, 2), (2, 0), (1, 0)],  # complete: regular
+        [(1, 2), (0, 2), (0, 1), (0, 1)],  # out-regular, in-degrees 3, 3, 2
+        [(1, 2, 3), (), (), ()],  # a star: out-degrees differ
+        [(1,), (2,), (3,), ()],  # a directed path: both degrees differ
+        [(1,), (0,), (3,), (3,)],  # a loop and an in-degree of 2
+    ])
+    def test_one_cell_round(self, out):
+        g = Digraph(len(out), out)
+        cells = [list(range(g.n))]
+        assert canon_module._refine(g, cells) == _tree_refine(g, cells)
+
+    @given(st.one_of(digraphs(max_n=12, loops=True), symmetric_digraphs(max_n=12)))
+    @settings(max_examples=200, deadline=None)
+    def test_one_cell_round_on_random_digraphs(self, g):
+        cells = [list(range(g.n))]
+        assert canon_module._refine(g, cells) == _tree_refine(g, cells)
+
+
+def twice_through_one_memo(g):
+    memo = {}
+    return canonical_form(g, memo), canonical_form(g, memo)  # the second call hits
+
+
+class TestNoReferenceCycle:
+    """Each call frees what it built by reference counting alone."""
+
+    @pytest.mark.parametrize("call", [
+        canonical_form,
+        lambda g: canonical_form(g, {}),
+        twice_through_one_memo,
+        canonical_relabelling,
+        automorphism_orbits,
+        lambda g: search(SearchParams(d=2, k=2, epsilon=2, diregular=True)),
+    ], ids=["form", "form-memo", "form-memo-hit", "relabelling", "orbits", "search"])
+    def test_nothing_left_for_the_cyclic_gc(self, cat_b, call):
+        gc.collect()
+        gc.disable()
+        try:
+            call(cat_b)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPinnedBytes:

@@ -5,9 +5,11 @@ import random
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import geodex
 from geodex import Digraph, canonical_form, catalog_a, catalog_b, read_digraph, write_digraph
 from geodex.catalog import MAX_ORDER
 from geodex.cli import run
@@ -629,6 +631,20 @@ class TestProcessLevel:
         iso = subprocess.run([sys.executable, "-m", "geodex", "iso", str(a), str(b)],
                              capture_output=True, text=True, timeout=10)
         assert (iso.returncode, iso.stdout) == (0, "isomorphic\n")
+
+    def test_no_pool_or_hash_import_without_a_pool_or_checkpoint(self):
+        # -S keeps site's imports out, so sys.modules shows what geodex pulls in
+        src = str(Path(geodex.__file__).parents[1])
+        script = (
+            f"import io, sys; sys.path.insert(0, {src!r});"
+            "from geodex import SearchParams, search; from geodex.cli import run;"
+            "assert run(['moore', '2', '2'], out=io.StringIO()) == 0;"
+            "print(sorted({'concurrent.futures', 'hashlib'} & set(sys.modules)));"
+            "search(SearchParams(d=2, k=2, epsilon=2, diregular=True));"
+            "print(sorted({'concurrent.futures', 'hashlib'} & set(sys.modules)))"
+        )
+        r = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+        assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n[]\n", "")
 
     def test_module_entry_point(self):
         r = subprocess.run([sys.executable, "-m", "geodex", "moore", "2", "2"],

@@ -294,9 +294,9 @@ class TestCanonMemo:
 
         real, calls = canon_module._refine, []
 
-        def counting(g, cells):
+        def counting(g, cells, v=None):
             calls.append(1)
-            return real(g, cells)
+            return real(g, cells, v)
 
         monkeypatch.setattr(canon_module, "_refine", counting)
         search(P222)
