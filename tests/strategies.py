@@ -78,6 +78,19 @@ def partitioned_digraphs(draw, max_n=40):
     return Digraph(n, out), cells
 
 
+@st.composite
+def circulant_digraphs(draw, max_n=30):
+    """Cayley digraphs of Z_n: v -> v + s (mod n) for each s of a drawn set.
+
+    Every vertex looks alike, so refinement keeps one cell, and an
+    individualised vertex's neighbours can have an arc to it, an arc from
+    it or both, depending on whether s, -s or both are in the set.
+    """
+    n = draw(st.integers(1, max_n))
+    steps = draw(st.sets(st.integers(0, n - 1)))
+    return Digraph(n, [sorted({(v + s) % n for s in steps}) for v in range(n)])
+
+
 def two_out_digraph(n, seed):
     """A seeded random digraph in which every vertex has 2 out-neighbours.
 
