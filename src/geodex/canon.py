@@ -43,6 +43,7 @@ anywhere, so the bytes are stable across runs and processes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .core import Digraph
@@ -201,7 +202,10 @@ def _best_labelings(g: Digraph, memo: dict | None = None
     A memo maps the bytes of leaves (relabeled copies of the digraphs it
     has seen) to their forms.  When the first leaf is there the walk
     stops and returns (that form, None, []); otherwise every leaf it
-    visits is stored under the form it found.
+    visits is stored under the form it found.  The walk recurses once
+    per individualised vertex, so a digraph whose walk goes deeper than
+    Python's recursion limit, such as an edgeless one of order 1,100,
+    raises ValueError.
     """
     n = g.n
     path: list[int] = []
@@ -267,10 +271,15 @@ def _best_labelings(g: Digraph, memo: dict | None = None
                 return back
         return depth
 
-    walk([list(range(n))])
-    # walk reaches itself through its closure cell; emptying the cell lets
-    # reference counting free the call, with nothing left for the cyclic GC
-    del walk
+    try:
+        walk([list(range(n))])
+    except RecursionError:
+        raise ValueError(f"canonical labelling of order {n} needs a deeper walk than "
+                         f"Python's recursion limit of {sys.getrecursionlimit()} allows") from None
+    finally:
+        # walk reaches itself through its closure cell; emptying the cell lets
+        # reference counting free the call, with nothing left for the cyclic GC
+        del walk
     if hit:
         return hit, None, []
     form = CanonicalForm(best[0])

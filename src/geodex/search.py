@@ -19,25 +19,34 @@ once and ORs each layer's stored balls into one set per layer, and
 their union U.  The frame also builds its candidate targets once, as
 one bitmask.  A candidate w in U would give some source a second walk
 of length at most k to w, or a closed one, so it is barred: the frame
-counts the barred candidates in bulk, by popcount, and never lands
-them; a frame with no other candidate is not even pushed.  Each live
-candidate, one outside U, costs one forward scan of w's balls and k
-ANDs against the layers' sets.  The stored balls change once per
-filled row, not once per arc: every source of one layer gains the same
-set, so while v's row is open a kept arc only adds that set to the
-layer's set and to its pending set, in the next frame for v, which is
-derived from its parent with no backward scan.  The arc that fills the
-row commits the pending sets to a copy of the balls, so a frame puts
-back the balls it opened with by reference.
-One method adds every arc: a task's start partial enters through it,
-one arc at a time from the empty digraph, and so does each live DFS
-node, so every state is checked by the same code; that method's first
-test is the U test that bars a candidate.  The frames sit on an
-explicit stack, so Python's recursion limit does not bound the depth
-of a search.  Full pruning in diregular mode adds one more cut when a
-row fills: a ball that the fill makes full is finished, its outliers
-are counted in epsilon+1 bitmask levels, and a vertex shut out of more
-than epsilon finished k-balls cuts.
+counts the barred candidates in bulk, by popcount, and never tests
+them; a frame with no other candidate is not even pushed.  A live
+candidate, one outside U, is tested before its arc lands, since its
+balls of radius at most k-1 are the same with the arc as without it:
+one forward scan of w's balls and k ANDs against the layers' sets, or
+nothing at all when w has no out-arc yet.  A cut arc never touches the
+state.  A kept arc that leaves v's row open leads to a frame for v
+whose candidates are known at once: the frame's remaining ones above
+w, and one more when w is a newcomer, and the live ones among them are
+those outside w's ball of radius k-1.  When none is live, the child is
+counted in its parent by one popcount and the arc is never landed,
+except while the walk splits, so that no task is dropped.
+The stored balls change once per filled row, not once per arc: every
+source of one layer gains the same set, so while v's row is open a
+kept arc only adds that set to the layer's set and to its pending set,
+in the next frame for v, which is derived from its parent with no
+backward scan.  The arc that fills the row commits the pending sets to
+a copy of the balls, so a frame puts back the balls it opened with by
+reference.
+Every arc is tested by one method and added by another: a task's start
+partial enters through them, one arc at a time from the empty digraph,
+and so does each DFS node, so every state is checked by the same code;
+the test's first step is the U test that bars a candidate.  The frames
+sit on an explicit stack, so Python's recursion limit does not bound
+the depth of a search.  Full pruning in diregular mode adds one more
+cut when a row fills: a ball that the fill makes full is finished, its
+outliers are counted in epsilon+1 bitmask levels, and a vertex shut out
+of more than epsilon finished k-balls cuts.
 All cuts are sound: they only fire on partials no valid completion can
 extend.
 """
@@ -117,16 +126,19 @@ class _Engine:
     the k-ball of s as of the last filled row: the arcs out of a vertex
     whose row is still open live in its frame's pending sets instead (see
     _frame).  shut[i] holds the vertices that are outliers of at least
-    i+1 finished balls, for i up to epsilon.  _land is the only code that
-    adds an arc, and it checks the arc against the frame of its tail.
-    The cost per fresh frame is one backward scan and one candidate mask,
-    per same-vertex frame a few ORs on its parent's frame; per barred
-    candidate (one in the frame's union U) a count and no more; per live
-    candidate one forward scan and k ANDs; and per filled row one pass
-    over the sources plus epsilon+1 ORs per finished ball.  A filled row
-    grows a copy of balls, never the list a frame saw, so _dfs takes each
-    arc back by clearing its two mask bits and putting back the frame's
-    balls, shut, max_used and in_full, without copying.
+    i+1 finished balls, for i up to epsilon.  _check tests an arc against
+    the frame of its tail and changes nothing; _land is the only code
+    that adds an arc, one that _check kept.  The cost per fresh frame is
+    one backward scan and one candidate mask, per same-vertex frame a few
+    ORs on its parent's frame; per barred candidate (one in the frame's
+    union U) a count and no more; per live candidate with no out-arc a
+    test and no scan, per other live candidate one forward scan and k
+    ANDs; per kept arc whose child would have no live candidate one AND
+    and a count; and per filled row one pass over the sources plus
+    epsilon+1 ORs per finished ball.  A filled row grows a copy of balls,
+    never the list a frame saw, so _dfs takes each arc back by clearing
+    its two mask bits and putting back the frame's balls, shut, max_used
+    and in_full, without copying.
     """
 
     def __init__(self, params: SearchParams, pruning: str, start: Digraph,
@@ -166,22 +178,23 @@ class _Engine:
     def enter(self) -> bool:
         """Land the start partial's arcs row by row; False means cut.
 
-        Each arc goes through _land, as at every DFS node, with a frame
-        built for it alone, and its new ends are committed to the stored
-        balls at once, even mid-row, since a task's start may end with a
-        row open and the DFS then builds its first frame from the balls.
-        An arc into a vertex of in-degree d is refused in diregular mode,
-        as the DFS never offers one.  Stopping at the first cut gives the
-        verdict of the whole partial: arcs only ever break geodecity and
-        raise in-degrees, and a ball reaches full size only on an arc that
-        fills a row, which is when the multiplicity cut runs.
+        Each arc is tested by _check and added by _land, as at every DFS
+        node, with a frame built for it alone, and its new ends are
+        committed to the stored balls at once, even mid-row, since a
+        task's start may end with a row open and the DFS then builds its
+        first frame from the balls.  An arc into a vertex of in-degree d
+        is refused in diregular mode, as the DFS never offers one.
+        Stopping at the first cut gives the verdict of the whole partial:
+        arcs only ever break geodecity and raise in-degrees, and a ball
+        reaches full size only on an arc that fills a row, which is when
+        the multiplicity cut runs.
         """
         for v, w in self.start.arcs():
             if self.diregular and self.in_full >> w & 1:
                 return False
             frame = self._frame(v)
-            ahead = self._land(v, w, frame)
-            if not ahead:
+            ahead = self._check(v, w, frame)
+            if not (ahead and self._land(v, w, ahead, frame)):
                 return False
             if self.out_mask[v].bit_count() < self.d:
                 self._grow(frame[0], ahead)
@@ -215,36 +228,51 @@ class _Engine:
             union |= u
         return found, unions, union, [0] * len(found)
 
-    def _land(self, v: int, w: int,
-              frame: tuple[list[int], list[int], int, list[int]]) -> list[int] | None:
-        """Add the arc v -> w to the state and test the walks through it.
+    def _check(self, v: int, w: int,
+               frame: tuple[list[int], list[int], int, list[int]]) -> list[int] | None:
+        """Test the walks that the arc v -> w would add, without adding it.
 
-        Returns None when cut, else w's balls of radius k-1, k-2, ..., 0,
-        the sets that the sources of v's layers L_0, L_1, ... gain.  frame
-        is v's frame for the state before the arc.  The only code that
-        sets a mask bit or adds to in_full.  The partial was k-geodetic
-        before the arc, so a source s at backward distance t from v
-        reaches v by one walk, and its new walks follow that walk and the
-        arc, then at most k-1-t steps from w.  Their ends must miss the
-        k-ball of s, which holds s itself, so closed walks count.  A set
-        meets some source's ball of layer t exactly when it meets their
-        union U_t, and each source's new walk of length t+1 ends at w, so
-        w in U cuts before any scan; _dfs counts such a w without calling
-        this, while enter() and the tests still get that verdict here.
-        Otherwise one scan of w's balls and one AND per layer decide.
-        That scan finds no two walks from w that meet: every stored ball
-        holds its source, so a w outside U is more than k-1 steps from v,
-        no walk of length at most k-1 from w uses the new arc, and
-        without it the partial was k-geodetic.
-        A kept arc that leaves v's row open touches no stored ball: the
-        caller carries its sets in the frame's pending sets.  The arc that
-        fills the row commits each layer's pending set and its own to a
-        copy of balls, and in full diregular mode adds the outliers of
-        each ball that this made full to shut, cutting when a vertex is
-        an outlier of more than epsilon finished balls.  A cut returns at
-        once and leaves the state as it stands; the caller restores it.
+        Returns None when the arc would be cut, else w's balls of radius
+        k-1, k-2, ..., 0, the sets that the sources of v's layers L_0,
+        L_1, ... would gain.  frame is v's frame for the current state,
+        which this leaves as it is.  The partial is k-geodetic, so a
+        source s at backward distance t from v reaches v by one walk, and
+        its new walks follow that walk and the arc, then at most k-1-t
+        steps from w.  Their ends must miss the k-ball of s, which holds
+        s itself, so closed walks count.  A set meets some source's ball
+        of layer t exactly when it meets their union U_t, and each
+        source's new walk of length t+1 ends at w, so w in U cuts before
+        any scan; _dfs counts such a w without calling this, while
+        enter() still gets that verdict here.  Otherwise w is no source
+        of v's layers, since every stored ball holds its source, so no
+        walk of length at most k-1 from w reaches v: w's balls are the
+        same with the arc as without it, and the partial has no two walks
+        from w that meet.  A w with no out-arc has ball {w} at every
+        radius, and w is in no U_t, so it is kept with no scan.  Any
+        other w costs one scan of its balls and one AND per layer.
         """
         found, unions, union, pending = frame
+        if union >> w & 1:
+            return None
+        if not self.out_mask[w]:
+            return [1 << w] * self.k
+        ahead = geodetic_balls(self.out_mask, w, self.k - 1)
+        ahead.reverse()
+        return None if any(map(and_, unions, ahead)) else ahead
+
+    def _land(self, v: int, w: int, ahead: list[int],
+              frame: tuple[list[int], list[int], int, list[int]]) -> bool:
+        """Add the arc v -> w, which _check kept with the sets ahead; False means cut.
+
+        The only code that sets a mask bit or adds to in_full.  An arc
+        that leaves v's row open touches no stored ball and cannot cut:
+        the caller carries ahead in the frame's pending sets.  The arc
+        that fills the row commits each layer's pending set and its own
+        to a copy of balls, and in full diregular mode adds the outliers
+        of each ball that this made full to shut, cutting when a vertex
+        is an outlier of more than epsilon finished balls.  A cut leaves
+        the state as it stands; the caller restores it.
+        """
         out_mask, in_mask = self.out_mask, self.in_mask
         out_mask[v] |= 1 << w
         in_mask[w] |= 1 << v
@@ -254,14 +282,9 @@ class _Engine:
             self.max_used = w
         if self.max_used < v:
             self.max_used = v
-        if union >> w & 1:
-            return None
-        ahead = geodetic_balls(out_mask, w, self.k - 1)
-        ahead.reverse()
-        if any(map(and_, unions, ahead)):
-            return None
         if out_mask[v].bit_count() < self.d:
-            return ahead
+            return True
+        found, unions, union, pending = frame
         self.balls = self.balls[:]
         finished = self._grow(found, list(map(or_, pending, ahead)))
         if self.mult_mode and finished:
@@ -273,9 +296,8 @@ class _Engine:
                 out = everyone & ~ball
                 shut = list(map(or_, shut, map(and_, [everyone, *shut[:-1]], repeat(out))))
             self.shut = shut
-            if shut[-1]:
-                return None
-        return ahead
+            return not shut[-1]
+        return True
 
     def _grow(self, found: list[int], news: list[int]) -> list[int]:
         """OR news[t] into the stored ball of each source in layer found[t].
@@ -325,33 +347,47 @@ class _Engine:
     def _dfs(self, hint: int, depth: int) -> None:
         """Walk the subtree of the current state depth first, on an explicit stack.
 
-        A frame is [v, w, live, barred, saved, frame]: the open vertex v,
-        the candidate w whose arc is landed while its child is walked, the
-        live and barred candidates not yet passed, the balls, shut,
-        max_used and in_full it opened with, and v's frame.  The candidates
-        are the targets from v's next slot up to one past the highest
-        vertex in use, without v and, in diregular mode, without the
-        vertices in in_full; none of this moves while the frame is open, so
-        one bitmask per frame holds them.  Those in the frame's union U are
-        barred, since _land would cut them on its first test, and the rest
-        are live.  A frame for the vertex whose row its parent left open is
-        derived from the parent's frame and the sets _land returned: each
-        U_t and P_t gains the set of layer t, and U gains the largest.  Any
-        other frame is built by _frame from the stored balls, which the
-        last filled row brought up to date.  A frame with no live candidate
-        is counted by one popcount and never pushed.  Live candidates land
-        in increasing order; the barred ones below each, and those left
-        when the frame ends, are counted by one popcount.  Every candidate
-        is a node, as if each were landed in turn, so the budget stops
-        where landing each would: before a live candidate once the nodes
-        passed reach the budget, and at a frame's end once they pass it.
-        A frame takes each arc back by clearing its two mask bits and
+        A frame is [v, w, live, barred, saved, frame, last]: the open
+        vertex v, the candidate w whose arc is landed while its child is
+        walked, the live and barred candidates not yet passed, the balls,
+        shut, max_used and in_full it opened with, v's frame, and the
+        bound below which an arc's child may be counted in this frame.
+        The candidates are the targets from v's next slot up to one past
+        the highest vertex in use, without v and, in diregular mode,
+        without the vertices in in_full; none of this moves while the
+        frame is open, so one bitmask per frame holds them.  Those in the
+        frame's union U are barred, since _check would cut them on its
+        first test, and the rest are live.  A frame for the vertex whose
+        row its parent left open is derived from the parent's frame and
+        the sets _check returned: each U_t and P_t gains the set of layer
+        t, and U gains the largest.  Any other frame is built by _frame
+        from the stored balls, which the last filled row brought up to
+        date.  A frame with no live candidate is counted by one popcount
+        and never pushed.  Live candidates are tested by _check in
+        increasing order; the barred ones below each, and those left when
+        the frame ends, are counted by one popcount.  A kept arc that
+        leaves v's row open is not landed when its child would have no
+        live candidate.  The child's candidates would be this frame's
+        live and barred ones above w, and w + 1 as well when w is the
+        newcomer, one past the highest vertex in use; of these, w + 1,
+        which no ball holds, and the live ones outside w's ball of radius
+        k-1 would be live.  So for a w below last the child is counted
+        here by one popcount when no live one above w lies outside that
+        ball.  last is the newcomer when it brings a w + 1 and n
+        otherwise, and 0 when an arc fills the row or the walk splits, so
+        that no task is dropped.  Every candidate is a node, as if each
+        were landed in turn, so the budget stops where landing each would:
+        before a live candidate once the nodes passed reach the budget,
+        and at a frame's end, a counted child's included, once they pass
+        it.  A frame takes each arc back by clearing its two mask bits and
         putting back what it saved, and a stop takes back every landed arc
         and puts back the state the walk started from, so the walk leaves
         the state as it found it.
         """
-        n, diregular, budget = self.n, self.diregular, self.budget
+        n, d, diregular, budget = self.n, self.d, self.diregular, self.budget
         out_mask, in_mask = self.out_mask, self.in_mask
+        check, land = self._check, self._land
+        counting = self.split_at is None
         entry = self.balls, self.shut, self.max_used, self.in_full
         stack: list[list] = []
         base = depth
@@ -383,8 +419,12 @@ class _Engine:
                     union = frame[2]
                     live = cands & ~union
                 if live:
+                    last = 0
+                    if counting and out_mask[v].bit_count() < d - 1:
+                        last = hi if hi < n - 1 else n
                     stack.append([v, -1, live, cands & union,
-                                  (self.balls, self.shut, self.max_used, self.in_full), frame])
+                                  (self.balls, self.shut, self.max_used, self.in_full),
+                                  frame, last])
                     back = False
                 else:
                     skipped = cands.bit_count()
@@ -393,7 +433,7 @@ class _Engine:
                     self.nodes += skipped
             while stack:
                 top = stack[-1]
-                v, w, live, barred, saved, frame = top
+                v, w, live, barred, saved, frame, last = top
                 if back:
                     out_mask[v] ^= 1 << w
                     in_mask[w] ^= 1 << v
@@ -408,8 +448,16 @@ class _Engine:
                         return self._halt(stack[:-1], entry)
                     self.nodes += skipped + 1
                     w = b.bit_length() - 1
-                    ahead = self._land(v, w, frame)
-                    if ahead:
+                    ahead = check(v, w, frame)
+                    if not ahead:
+                        continue
+                    if w < last and not live & ~ahead[0]:
+                        skipped = (live | barred).bit_count()
+                        if budget is not None and self.nodes + skipped > budget:
+                            return self._halt(stack[:-1], entry)
+                        self.nodes += skipped
+                        continue
+                    if land(v, w, ahead, frame):
                         break
                     out_mask[v] ^= b
                     in_mask[w] ^= 1 << v
@@ -434,10 +482,11 @@ class _Engine:
         landed holds the frames whose arcs are still landed: all of the
         stack when the stop comes at the end of a frame that was never
         pushed, which may be the walk's first, and all but the top frame
-        otherwise, since the top one has taken its arc back.  Each takes
-        its arc back, and entry, the balls, shut, max_used and in_full the
-        walk started from, is put back.  A stop comes only once the
-        candidates passed reach the budget, so nodes is the budget.
+        otherwise, since the top one has taken its arc back or, for a
+        child counted in it, never landed it.  Each takes its arc back,
+        and entry, the balls, shut, max_used and in_full the walk started
+        from, is put back.  A stop comes only once the candidates passed
+        reach the budget, so nodes is the budget.
         """
         out_mask, in_mask = self.out_mask, self.in_mask
         for u, x, *_ in landed:

@@ -161,6 +161,16 @@ class TestCanon:
         p.write_text(text)
         assert invoke("canon", str(p)) == (2, "", f"error: {p}: {message}\n")
 
+    def test_walk_deeper_than_the_recursion_limit(self, tmp_path):
+        # the edgeless digraph of order 1,100 has one cell that the walk
+        # individualises 1,099 times in a row, one recursion each
+        p = tmp_path / "edgeless.dg"
+        p.write_text("n 1100\n")
+        message = ("error: canonical labelling of order 1100 needs a deeper walk than "
+                   f"Python's recursion limit of {sys.getrecursionlimit()} allows\n")
+        assert invoke("canon", str(p)) == (2, "", message)
+        assert invoke("iso", str(p), str(p)) == (2, "", message)
+
     def test_order_above_limit(self, tmp_path):
         p = tmp_path / "huge.dg"
         p.write_text(f"n {MAX_ORDER + 1}\n")

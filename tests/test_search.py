@@ -365,18 +365,23 @@ class _EmitLog(_Engine):
 
 
 P223 = SearchParams(d=2, k=2, epsilon=3, diregular=True)
+P232 = SearchParams(d=2, k=3, epsilon=2, diregular=True)
 P321 = SearchParams(d=3, k=2, epsilon=1, diregular=True)
 
 
 class TestBudgets:
     # split tasks 0, 1 and 4 of (2,2,+3) (428, 254 and 226 nodes); task 74
     # of (3,2,+1) (272 nodes), where most frames are derived from their
-    # parent; and task 482 of (3,2,+1), whose first frame has
-    # three candidates, all barred, so the walk pushes no frame at all
+    # parent; task 482 of (3,2,+1), whose first frame has three
+    # candidates, all barred, so the walk pushes no frame at all; and task
+    # 13 of (2,3,+2) (458 nodes), with k = 3, two frames with every
+    # candidate barred after a filled row, and 34 children counted in
+    # their parent frame, 23 of them with two candidates or more
     @pytest.mark.parametrize("params,index", [
         pytest.param(P223, 0, id="0"), pytest.param(P223, 1, id="1"),
         pytest.param(P223, 4, id="4"), pytest.param(P321, 74, id="3,2,+1-74"),
         pytest.param(P321, 482, id="3,2,+1-482-first-frame-barred"),
+        pytest.param(P232, 13, id="2,3,+2-13"),
     ])
     def test_every_budget_stops_where_the_walk_does(self, params, index):
         # a budget of b nodes explores the first b nodes of the unbudgeted
@@ -406,6 +411,19 @@ class TestBudgets:
         engine = _AuditedEngine(P321, "full", split_tasks(P321)[0][482], budget=budget)
         engine.run()
         assert (engine.nodes, engine.checked, engine.stopped) == (min(budget, 3),) * 2 + (budget < 3,)
+
+    def test_a_stop_inside_a_child_counted_in_its_parent(self):
+        # each budget stops between the first and the last candidate of a
+        # child that the walk counts in its parent frame, with the audit on
+        task = split_tasks(P232)[0][13]
+        walk = _AuditedEngine(P232, "full", task, budget=None)
+        walk.run()
+        inside = [at + 1 for at, size in walk.counted if size >= 2]
+        assert len(inside) == 23
+        for budget in inside[:4]:
+            engine = _AuditedEngine(P232, "full", task, budget=budget)
+            engine.run()
+            assert (engine.nodes, engine.checked, engine.stopped) == (budget, budget, True)
 
     def test_no_workers_refused(self):
         with pytest.raises(ValueError, match="worker count must be at least 1, got 0"):
@@ -512,14 +530,21 @@ class TestTaskSplitting:
         assert len(merged) == 2
         assert nodes == direct.nodes_explored
 
-    # the checkpoint key's "tasks" field: a change refuses every saved checkpoint
-    @pytest.mark.parametrize("epsilon,digest", [
-        (2, "1b806c6228060bffc1345850ce7dd0425dffed649c73f3c2aa39a8584dcc290c"),
-        (3, "ed7dfaa4bd355285ddd11474fdbdea5df606fcbe4f9ae9f649463dcb4b63e6be"),
-    ], ids=["excess2", "excess3"])
+    # the checkpoint key's "tasks" field: a change refuses every saved
+    # checkpoint.  41 of the 483 (3,2,+1) tasks explore no node, so a split
+    # that counted such a task in its parent instead would drop them
+    @pytest.mark.parametrize("params,digest", [
+        (P222, "1b806c6228060bffc1345850ce7dd0425dffed649c73f3c2aa39a8584dcc290c"),
+        (SearchParams(2, 2, 3, True),
+         "ed7dfaa4bd355285ddd11474fdbdea5df606fcbe4f9ae9f649463dcb4b63e6be"),
+        (SearchParams(3, 2, 1, True),
+         "e04553e8f2f1c3f3bbd604f7bdfc037e9552688f1248253d392191af95d2f5ab"),
+        (SearchParams(2, 3, 2, True),
+         "d6bc267516d5588f439a54726666bd20800c329d0b9867b06180926e76555079"),
+    ], ids=["excess2", "excess3", "3,2,+1", "2,3,+2"])
     @pytest.mark.parametrize("pruning", ["full", "basic"])
-    def test_task_list_sha256_pinned(self, epsilon, digest, pruning):
-        tasks, _ = split_tasks(SearchParams(2, 2, epsilon, True), pruning)
+    def test_task_list_sha256_pinned(self, params, digest, pruning):
+        tasks, _ = split_tasks(params, pruning)
         shape = json.dumps([task.out for task in tasks]).encode()
         assert hashlib.sha256(shape).hexdigest() == digest
 
@@ -592,38 +617,47 @@ class TestEmittedInvariants:
 class _AuditedEngine(_Engine):
     """The engine audited at every node it counts and at every DFS frame it restores.
 
-    Each frame's state is recorded when its first arc lands, and every
-    later arc must land on exactly that state: the frame restored all it
-    changed for the children before, and in_full must hold exactly the
-    vertices of in-degree d or more.  A frame must then be v's frame as
-    _frame builds it from the BFS k-balls, whether _frame built it or _dfs
-    derived it from its parent, and the stored balls OR its pending sets
-    must be those k-balls.  After a kept arc the stored balls OR the
-    pending sets grown by what _land returned must be the k-balls, and
-    after a filled row the stored balls alone; in full diregular mode shut
-    must hold, at each level i, the vertices outside at least i+1 full
-    k-balls, counted by a full rescan.  Inside _dfs each frame also lists
-    its candidates when _next_open finds its vertex, one by one from the
-    state: the targets past v's last one up to one past the highest
-    vertex in use, without v and, in diregular mode, without the vertices
-    of in-degree d.  A candidate inside the BFS k-ball of a source within
-    k-1 steps before v is barred: the engine counts it without landing it,
-    so the audit judges it here, by the oracle on the state with that arc
-    added.  A frame with no live candidate is listed too, though the
-    engine never pushes it.  checked follows the walk and counts each
-    barred candidate before the next landed one or when its frame ends,
-    and each landed one; a landed one comes only below the budget, and a
-    frame end that the walk goes on from only within it.
+    Each frame's state is recorded when its first arc is tested, and
+    every later test and every landing must find exactly that state: the
+    frame restored all it changed for the children before, _check changed
+    nothing, and in_full must hold exactly the vertices of in-degree d or
+    more.  A frame must then be v's frame as _frame builds it from the BFS
+    k-balls, whether _frame built it or _dfs derived it from its parent,
+    and the stored balls OR its pending sets must be those k-balls.
+    _check's verdict must be the basic oracle's on the state with the arc
+    added, and _land's the oracle's in the engine's own mode.  After a
+    kept arc the stored balls OR the pending sets grown by what _check
+    returned must be the k-balls, and after a filled row the stored balls
+    alone; in full diregular mode shut must hold, at each level i, the
+    vertices outside at least i+1 full k-balls, counted by a full rescan.
+    Inside _dfs each frame also lists its candidates when _next_open finds
+    its vertex, one by one from the rows: the targets past v's last one up
+    to one past the highest vertex in use, without v and, in diregular
+    mode, without the vertices of in-degree d.  A candidate inside the BFS
+    k-ball of a source within k-1 steps before v is barred: the engine
+    counts it without testing it, so the audit judges it here, by the
+    oracle on the state with that arc added.  A frame with no live
+    candidate is listed too, though the engine never pushes it.  So is
+    the child of a kept arc that leaves v's row open: the audit lists its
+    candidates from the rows with the arc added, and when none is live
+    the engine must count the child in v's frame and never land the arc,
+    and otherwise land it before it tests anything else.  checked follows
+    the walk and counts each barred candidate before the next tested one
+    or when its frame ends, and each tested one; a tested one comes only
+    below the budget, and a frame end that the walk goes on from only
+    within it.
     """
 
     def __init__(self, params, pruning, start, budget):
         super().__init__(params, pruning, start, budget)
         self.pruning = pruning
         self.checked = 0
-        self.opened = {}  # id of a frame -> (the frame, the state its first arc landed on)
+        self.opened = {}  # id of a frame -> (the frame, the state its first arc was tested on)
         self.walking = False
         # the open DFS frames, keyed by (v, slots of v decided): [(candidate, barred) not yet passed]
         self.listed = []
+        self.due = None  # the kept arc that must land next
+        self.counted = []  # (nodes before, candidates) of each child counted in its parent
 
     def _fresh_balls(self):
         g = Digraph(self.n, self._rows())
@@ -639,30 +673,34 @@ class _AuditedEngine(_Engine):
         assert self.in_full == sum(1 << w for w in range(self.n)
                                    if self.in_mask[w].bit_count() >= self.d)
 
+    def _list(self, rows, v):
+        """v's candidates in the partial with out-lists rows, each with whether it is barred."""
+        g = Digraph(self.n, rows)
+        union = 0
+        for s in range(self.n):
+            dist = bfs_distances(g, s)
+            if dist.get(v, self.k) < self.k:
+                union |= sum(1 << x for x, t in dist.items() if t <= self.k)
+        used = max((max(u, *row) for u, row in enumerate(rows) if row), default=-1)
+        hi = min(self.n - 1, max(used, v) + 1)
+        todo = []
+        for w in range(rows[v][-1] + 1 if rows[v] else 0, hi + 1):
+            if w == v or self.diregular and len(g.in_lists[w]) >= self.d:
+                continue
+            barred = bool(union >> w & 1)
+            if barred:
+                partial = Digraph(self.n, [row + (w,) if u == v else row
+                                           for u, row in enumerate(rows)])
+                assert _oracle_cuts(partial, self.params, self.pruning)
+            todo.append((w, barred))
+        return todo
+
     def _next_open(self, hint):
         v = super()._next_open(hint)
         if self.walking and v is not None:
             assert self.split_at is None
             self._check_in_full()
-            rows = self._rows()
-            g = Digraph(self.n, rows)
-            union = 0
-            for s in range(self.n):
-                dist = bfs_distances(g, s)
-                if dist.get(v, self.k) < self.k:
-                    union |= sum(1 << x for x, t in dist.items() if t <= self.k)
-            hi = min(self.n - 1, max(self.max_used, v) + 1)
-            todo = []
-            for w in range(self.out_mask[v].bit_length(), hi + 1):
-                if w == v or self.diregular and self.in_mask[w].bit_count() >= self.d:
-                    continue
-                barred = bool(union >> w & 1)
-                if barred:
-                    partial = Digraph(self.n, [row + (w,) if u == v else row
-                                               for u, row in enumerate(rows)])
-                    assert _oracle_cuts(partial, self.params, self.pruning)
-                todo.append((w, barred))
-            self.listed.append(((v, self.out_mask[v].bit_count()), todo))
+            self.listed.append(((v, self.out_mask[v].bit_count()), self._list(self._rows(), v)))
         return v
 
     def _pass_barred(self, todo):
@@ -684,7 +722,7 @@ class _AuditedEngine(_Engine):
                     grown[s] |= extra
         assert grown == self._fresh_balls()
 
-    def _land(self, v, w, frame):
+    def _check(self, v, w, frame):
         if id(frame) not in self.opened:
             self._check_in_full()
             stored, self.balls = self.balls, self._fresh_balls()
@@ -695,8 +733,10 @@ class _AuditedEngine(_Engine):
             assert frame[:3] == rebuilt[:3]
             self._check_grown(frame[0], frame[3])
             self.opened[id(frame)] = frame, _state(self)
-        assert _state(self) == self.opened[id(frame)][1]
+        state = self.opened[id(frame)][1]
+        assert _state(self) == state
         if self.walking:
+            assert self.due is None
             key = v, self.out_mask[v].bit_count()
             while self.listed[-1][0] != key:  # the frames above it have ended
                 ended = self.listed.pop()[1]
@@ -709,17 +749,39 @@ class _AuditedEngine(_Engine):
             del todo[0]
             assert self.budget is None or self.checked < self.budget
             self.checked += 1
-        ahead = super()._land(v, w, frame)
+        ahead = super()._check(v, w, frame)
+        assert _state(self) == state
+        rows = self._rows()
+        rows[v] += (w,)
+        assert bool(ahead) == (not _oracle_cuts(Digraph(self.n, rows), self.params, "basic"))
+        if ahead and self.walking:
+            self.due = v, w
+            if len(rows[v]) < self.d:
+                child = self._list(rows, v)
+                if not any(not barred for _, barred in child):
+                    # counted in this frame: w is kept, and the child's candidates are all cut
+                    assert not _oracle_cuts(Digraph(self.n, rows), self.params, self.pruning)
+                    self.listed.append(((v, len(rows[v])), child))
+                    self.counted.append((self.checked, len(child)))
+                    self.due = None
+        return ahead
+
+    def _land(self, v, w, ahead, frame):
+        assert _state(self) == self.opened[id(frame)][1]
+        if self.walking:
+            assert self.due == (v, w)
+            self.due = None
+        kept = super()._land(v, w, ahead, frame)
         partial = Digraph(self.n, self._rows())
-        assert bool(ahead) == (not _oracle_cuts(partial, self.params, self.pruning))
-        if ahead:
+        assert kept == (not _oracle_cuts(partial, self.params, self.pruning))
+        if kept:
             if self.out_mask[v].bit_count() < self.d:
                 self._check_grown(frame[0], [p | new for p, new in zip(frame[3], ahead)])
             else:
                 assert self.balls == self._fresh_balls()
             levels = self._levels(self._fresh_balls()) if self.mult_mode else [0] * len(self.shut)
             assert self.shut == levels
-        return ahead
+        return kept
 
     def _dfs(self, hint, depth):
         before = _state(self)
@@ -727,7 +789,8 @@ class _AuditedEngine(_Engine):
         super()._dfs(hint, depth)
         self.walking = False
         assert _state(self) == before
-        # past the last landed arc the walk ends frames from the top; it stops
+        assert self.due is None
+        # past the last tested arc the walk ends frames from the top; it stops
         # before a live candidate once the budget is reached, or at a frame
         # end past the budget, and a stop counts exactly the budget
         stop = False
@@ -791,7 +854,8 @@ class TestIncrementalCheck:
     @settings(max_examples=100, deadline=None)
     def test_landing_an_arc_keeps_the_backward_layers(self, case, pruning, data):
         # what lets one _frame(v) serve every arc out of v: v is the layers'
-        # depth 0, so no arc out of it, kept or cut, moves them
+        # depth 0, so no arc out of it that _check keeps, cut or not when
+        # it lands, moves them
         params, partial = case
         engine = _Engine(params, pruning, partial, budget=None)
         assume(engine.enter())
@@ -804,12 +868,42 @@ class TestIncrementalCheck:
                 continue
             before = layers(engine.in_mask, v, params.k - 1)
             saved = engine.balls, engine.shut, engine.max_used, engine.in_full
-            verdicts.add(bool(engine._land(v, w, engine._frame(v))))
-            assert layers(engine.in_mask, v, params.k - 1) == before
-            engine.out_mask[v] ^= 1 << w
-            engine.in_mask[w] ^= 1 << v
-            engine.balls, engine.shut, engine.max_used, engine.in_full = saved
+            frame = engine._frame(v)
+            ahead = engine._check(v, w, frame)
+            verdicts.add(bool(ahead))
+            if ahead:
+                engine._land(v, w, ahead, frame)
+                assert layers(engine.in_mask, v, params.k - 1) == before
+                engine.out_mask[v] ^= 1 << w
+                engine.in_mask[w] ^= 1 << v
+                engine.balls, engine.shut, engine.max_used, engine.in_full = saved
         assume(verdicts == {False, True})
+
+    @given(geodetic_partials(), st.sampled_from(["basic", "full"]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_checking_an_arc_changes_nothing(self, case, pruning, data):
+        # _check on every candidate of an open vertex's frame, barred ones
+        # too, leaves the state alone and gives the oracle's verdict on the
+        # partial with that arc; the multiplicity cut is _land's, so the
+        # verdict is basic pruning's
+        params, partial = case
+        engine = _Engine(params, pruning, partial, budget=None)
+        assume(engine.enter())
+        open_ = [v for v in range(engine.n) if engine.out_mask[v].bit_count() < params.d]
+        assume(open_)
+        v = data.draw(st.sampled_from(open_))
+        frame = engine._frame(v)
+        rows = engine._rows()
+        hi = min(engine.n - 1, max(engine.max_used, v) + 1)
+        before = _state(engine)
+        for w in range(engine.out_mask[v].bit_length(), hi + 1):
+            if w == v or params.diregular and engine.in_full >> w & 1:
+                continue
+            ahead = engine._check(v, w, frame)
+            assert _state(engine) == before
+            partial = Digraph(engine.n, [row + (w,) if u == v else row
+                                         for u, row in enumerate(rows)])
+            assert bool(ahead) == (not _oracle_cuts(partial, params, "basic"))
 
     def test_whole_search_audited(self):
         engine = _AuditedEngine(P222, "full", seed_tree(P222), budget=None)
@@ -863,24 +957,28 @@ def _twin_violations(g, k):
 
 
 class _TwinAuditEngine(_Engine):
-    """The engine with the twin lemma checked on every partial it keeps."""
+    """The engine with the twin lemma checked on every arc that _check keeps.
+
+    The partial with that arc added is k-geodetic, whether the arc then
+    lands or its child is counted without landing it.
+    """
 
     def __init__(self, params, pruning, start, budget):
         super().__init__(params, pruning, start, budget)
         self.kept = self.pairs = 0
 
-    def _audit(self):
-        g = Digraph(self.n, self._rows())
+    def _audit(self, v, w):
+        g = Digraph(self.n, [row + (w,) if u == v else row for u, row in enumerate(self._rows())])
         failed, pairs = _twin_violations(g, self.k)
         assert failed == [], (g.out, failed)
         self.kept += 1
         self.pairs += pairs
 
-    def _land(self, v, w, frame):
-        kept = super()._land(v, w, frame)
-        if kept:
-            self._audit()
-        return kept
+    def _check(self, v, w, frame):
+        ahead = super()._check(v, w, frame)
+        if ahead:
+            self._audit(v, w)
+        return ahead
 
 
 class TestTwinLemmaHolds:
