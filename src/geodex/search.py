@@ -44,9 +44,8 @@ and so does each DFS node, so every state is checked by the same code;
 the test's first step is the U test that bars a candidate.  The frames
 sit on an explicit stack, so Python's recursion limit does not bound
 the depth of a search.  Full pruning in diregular mode adds one more
-cut when a row fills: a ball that the fill makes full is finished, its
-outliers are counted in epsilon+1 bitmask levels, and a vertex shut out
-of more than epsilon finished k-balls cuts.
+cut when a row fills: a ball that the fill makes full is finished, and
+a vertex shut out of more than epsilon finished k-balls cuts.
 All cuts are sound: they only fire on partials no valid completion can
 extend.
 """
@@ -125,8 +124,8 @@ class _Engine:
     reaches d, so diregular mode offers w no more arcs.  balls[s] holds
     the k-ball of s as of the last filled row: the arcs out of a vertex
     whose row is still open live in its frame's pending sets instead (see
-    _frame).  shut[i] holds the vertices that are outliers of at least
-    i+1 finished balls, for i up to epsilon.  _check tests an arc against
+    _frame).  shut[u] counts the finished balls that miss u, and stays
+    zero unless the multiplicity cut is on.  _check tests an arc against
     the frame of its tail and changes nothing; _land is the only code
     that adds an arc, one that _check kept.  The cost per fresh frame is
     one backward scan and one candidate mask, per same-vertex frame a few
@@ -135,7 +134,7 @@ class _Engine:
     test and no scan, per other live candidate one forward scan and k
     ANDs; per kept arc whose child would have no live candidate one AND
     and a count; and per filled row one pass over the sources plus
-    epsilon+1 ORs per finished ball.  A filled row grows a copy of balls,
+    epsilon counts per finished ball.  A filled row grows a copy of balls,
     never the list a frame saw, so _dfs takes each arc back by clearing
     its two mask bits and putting back the frame's balls, shut, max_used
     and in_full, without copying.
@@ -162,7 +161,7 @@ class _Engine:
         self.out_mask = [0] * n
         self.in_mask = [0] * n
         self.balls = [1 << u for u in range(n)]
-        self.shut = [0] * (params.epsilon + 1)
+        self.shut = [0] * n
         self.max_used = -1
         self.in_full = 0
         self.moore = moore_bound(self.d, self.k)
@@ -268,10 +267,8 @@ class _Engine:
         that leaves v's row open touches no stored ball and cannot cut:
         the caller carries ahead in the frame's pending sets.  The arc
         that fills the row commits each layer's pending set and its own
-        to a copy of balls, and in full diregular mode adds the outliers
-        of each ball that this made full to shut, cutting when a vertex
-        is an outlier of more than epsilon finished balls.  A cut leaves
-        the state as it stands; the caller restores it.
+        to a copy of balls by _grow, which may cut.  A cut leaves the
+        state as it stands; the caller restores it.
         """
         out_mask, in_mask = self.out_mask, self.in_mask
         out_mask[v] |= 1 << w
@@ -286,28 +283,18 @@ class _Engine:
             return True
         found, unions, union, pending = frame
         self.balls = self.balls[:]
-        finished = self._grow(found, list(map(or_, pending, ahead)))
-        if self.mult_mode and finished:
-            # a finished ball pins its outliers for every completion;
-            # shut counts each vertex's finished balls in unary, up to epsilon+1:
-            # level i gains the outliers in level i-1, and level 0 gains them all
-            shut, everyone = self.shut, self.everyone
-            for ball in finished:
-                out = everyone & ~ball
-                shut = list(map(or_, shut, map(and_, [everyone, *shut[:-1]], repeat(out))))
-            self.shut = shut
-            return not shut[-1]
-        return True
+        return self._grow(found, list(map(or_, pending, ahead)))
 
-    def _grow(self, found: list[int], news: list[int]) -> list[int]:
-        """OR news[t] into the stored ball of each source in layer found[t].
+    def _grow(self, found: list[int], news: list[int]) -> bool:
+        """OR news[t] into the stored ball of each source in layer found[t]; False means cut.
 
-        Returns the grown balls that reached full size.  Without duplicate
-        walks a ball is full exactly when every vertex within k-1 steps of
-        its source has its whole out-list, so it is then finished.
+        Without duplicate walks a ball is full exactly when every vertex
+        within k-1 steps of its source has its whole out-list, so it is
+        then finished.  In full diregular mode each of its epsilon
+        outliers gains one in shut, copied at the fill's first finished
+        ball, and the first count above epsilon cuts at once.
         """
-        balls, moore = self.balls, self.moore
-        finished = []
+        balls, moore, mult, shut = self.balls, self.moore, self.mult_mode, None
         for layer, new in zip(found, news):
             while layer:
                 b = layer & -layer
@@ -315,9 +302,18 @@ class _Engine:
                 s = b.bit_length() - 1
                 ball = balls[s] | new
                 balls[s] = ball
-                if ball.bit_count() == moore:
-                    finished.append(ball)
-        return finished
+                if mult and ball.bit_count() == moore:
+                    if shut is None:
+                        shut = self.shut = self.shut[:]
+                    out = self.everyone ^ ball
+                    while out:
+                        b = out & -out
+                        out ^= b
+                        u = b.bit_length() - 1
+                        shut[u] += 1
+                        if shut[u] > self.params.epsilon:
+                            return False
+        return True
 
     # ---- generation ----
 

@@ -628,8 +628,9 @@ class _AuditedEngine(_Engine):
     added, and _land's the oracle's in the engine's own mode.  After a
     kept arc the stored balls OR the pending sets grown by what _check
     returned must be the k-balls, and after a filled row the stored balls
-    alone; in full diregular mode shut must hold, at each level i, the
-    vertices outside at least i+1 full k-balls, counted by a full rescan.
+    alone.  There and when a frame opens, shut must hold, for each
+    vertex, the number of full k-balls that miss it, counted by a full
+    rescan, in full diregular mode, and zeros otherwise.
     Inside _dfs each frame also lists its candidates when _next_open finds
     its vertex, one by one from the rows: the targets past v's last one up
     to one past the highest vertex in use, without v and, in diregular
@@ -658,16 +659,16 @@ class _AuditedEngine(_Engine):
         self.listed = []
         self.due = None  # the kept arc that must land next
         self.counted = []  # (nodes before, candidates) of each child counted in its parent
+        self.cuts = 0  # fills cut by the multiplicity cut
 
     def _fresh_balls(self):
         g = Digraph(self.n, self._rows())
         return [sum(1 << x for x, t in bfs_distances(g, u).items() if t <= self.k)
                 for u in range(self.n)]
 
-    def _levels(self, balls):
-        counts = outlier_counts(balls, self.n, self.moore)
-        return [sum(1 << x for x in range(self.n) if counts[x] > i)
-                for i in range(self.params.epsilon + 1)]
+    def _check_shut(self):
+        counts = outlier_counts(self._fresh_balls(), self.n, self.moore)
+        assert self.shut == (counts if self.mult_mode else [0] * self.n)
 
     def _check_in_full(self):
         assert self.in_full == sum(1 << w for w in range(self.n)
@@ -725,6 +726,7 @@ class _AuditedEngine(_Engine):
     def _check(self, v, w, frame):
         if id(frame) not in self.opened:
             self._check_in_full()
+            self._check_shut()
             stored, self.balls = self.balls, self._fresh_balls()
             try:
                 rebuilt = self._frame(v)
@@ -774,13 +776,13 @@ class _AuditedEngine(_Engine):
         kept = super()._land(v, w, ahead, frame)
         partial = Digraph(self.n, self._rows())
         assert kept == (not _oracle_cuts(partial, self.params, self.pruning))
+        self.cuts += not kept
         if kept:
             if self.out_mask[v].bit_count() < self.d:
                 self._check_grown(frame[0], [p | new for p, new in zip(frame[3], ahead)])
             else:
                 assert self.balls == self._fresh_balls()
-            levels = self._levels(self._fresh_balls()) if self.mult_mode else [0] * len(self.shut)
-            assert self.shut == levels
+            self._check_shut()
         return kept
 
     def _dfs(self, hint, depth):
@@ -912,19 +914,28 @@ class TestIncrementalCheck:
         assert len(engine.results) == 2
         assert engine.balls == engine._fresh_balls()
 
-    # whole split tasks, unbudgeted: three backward layers per frame on
-    # (2,3,+2), rows with two derived frames on (3,2,+1), and five shut
-    # levels on (2,2,+4), whose task emits 68 leaves in 25 classes
-    @pytest.mark.parametrize("params,index,nodes,classes", [
-        pytest.param(SearchParams(2, 3, 2, True), 165, 5239, 0, id="2,3,+2-165"),
-        pytest.param(P321, 151, 5972, 0, id="3,2,+1-151"),
-        pytest.param(SearchParams(2, 2, 4, True), 24, 5426, 25, id="2,2,+4-24"),
+    # whole tasks of a split after the given number of slots, unbudgeted:
+    # three backward layers per frame on (2,3,+2), rows with two derived
+    # frames on (3,2,+1) (neither cuts a fill on multiplicity), and fills
+    # cut by the multiplicity cut at epsilon = 4 on (2,2,+4), whose task
+    # emits 68 leaves in 25 classes, at epsilon = 5 on (2,2,+5) and at
+    # epsilon = 2 on (3,2,+2); every task of the search's own split of
+    # (2,2,+5) has over 25,000 nodes, so its task comes from a deeper one
+    @pytest.mark.parametrize("params,slots,index,nodes,classes,cuts", [
+        pytest.param(SearchParams(2, 3, 2, True), 4, 165, 5239, 0, 0, id="2,3,+2-165"),
+        pytest.param(P321, 4, 151, 5972, 0, 0, id="3,2,+1-151"),
+        pytest.param(SearchParams(2, 2, 4, True), 4, 24, 5426, 25, 431, id="2,2,+4-24"),
+        pytest.param(SearchParams(2, 2, 5, True), 6, 14, 3808, 35, 489, id="2,2,+5-6-14"),
+        pytest.param(SearchParams(3, 2, 2, True), 4, 522, 5631, 0, 12, id="3,2,+2-522"),
     ])
-    def test_whole_task_audited(self, params, index, nodes, classes):
-        engine = _AuditedEngine(params, "full", split_tasks(params)[0][index], budget=None)
+    def test_whole_task_audited(self, params, slots, index, nodes, classes, cuts):
+        split = _Engine(params, "full", seed_tree(params), budget=None)
+        split.run(split_at=slots)
+        engine = _AuditedEngine(params, "full", split.tasks[index], budget=None)
         engine.run()
         assert engine.nodes == engine.checked == nodes
         assert len(engine.results) == classes
+        assert engine.cuts == cuts
 
 
 def _twin_violations(g, k):
