@@ -628,9 +628,9 @@ class _AuditedEngine(_Engine):
     added, and _land's the oracle's in the engine's own mode.  After a
     kept arc the stored balls OR the pending sets grown by what _check
     returned must be the k-balls, and after a filled row the stored balls
-    alone.  There and when a frame opens, shut must hold, for each
-    vertex, the number of full k-balls that miss it, counted by a full
-    rescan, in full diregular mode, and zeros otherwise.
+    alone.  After every kept arc, and whenever a frame opens, shut must
+    hold for each vertex the number of full k-balls that miss it, by a
+    full rescan, in full diregular mode, and zeros otherwise.
     Inside _dfs each frame also lists its candidates when _next_open finds
     its vertex, one by one from the rows: the targets past v's last one up
     to one past the highest vertex in use, without v and, in diregular

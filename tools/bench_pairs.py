@@ -35,8 +35,10 @@ UNSCALED = "wall_s"  # the unscaled median wall time, read from run.py's text li
 
 
 def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], check=True, capture_output=True,
-                          text=True).stdout.strip()
+    done = subprocess.run(["git", *args], capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(f"error: git {' '.join(args)}: {done.stderr.strip()}")
+    return done.stdout.strip()
 
 
 def _run(rev: str, workload: str, seed: int,
