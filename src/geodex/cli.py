@@ -25,7 +25,8 @@ LONG_RUN_ORDER = 17
 
 def _load_digraph(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark some editors write first
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return read_digraph(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None

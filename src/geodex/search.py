@@ -167,7 +167,6 @@ class _Engine:
         self.moore = moore_bound(self.d, self.k)
         self.everyone = (1 << n) - 1
         self.nodes = 0
-        self.stopped = False
         self.results: dict[bytes, Digraph] = {}
         self.tasks: list[Digraph] = []
         self.split_at: int | None = None
@@ -340,7 +339,7 @@ class _Engine:
             _verified.add((self.params, form))
         self.results.setdefault(form, g)
 
-    def _dfs(self, hint: int, depth: int) -> None:
+    def _dfs(self) -> None:
         """Walk the subtree of the current state depth first, on an explicit stack.
 
         A frame is [v, w, live, barred, saved, frame, last]: the open
@@ -371,29 +370,30 @@ class _Engine:
         here by one popcount when no live one above w lies outside that
         ball.  last is the newcomer when it brings a w + 1 and n
         otherwise, and 0 when an arc fills the row or the walk splits, so
-        that no task is dropped.  Every candidate is a node, as if each
-        were landed in turn, so the budget stops where landing each would:
-        before a live candidate once the nodes passed reach the budget,
-        and at a frame's end, a counted child's included, once they pass
-        it.  A frame takes each arc back by clearing its two mask bits and
-        putting back what it saved, and a stop takes back every landed arc
-        and puts back the state the walk started from, so the walk leaves
-        the state as it found it.
+        that no task is dropped.  Every candidate is a node, barred, cut
+        or landed, and so is every candidate of a child counted in its
+        parent.  A frame takes each arc back by clearing its two mask
+        bits and putting back what it saved, so a walk that ends leaves
+        the state as it found it.  The budget is tested once per landed
+        arc, at the top of the loop: once the nodes pass it the walk
+        returns there, with its arcs still landed, and run() marks it
+        stopped.
         """
         n, d, diregular, budget = self.n, self.d, self.diregular, self.budget
         out_mask, in_mask = self.out_mask, self.in_mask
         check, land = self._check, self._land
         counting = self.split_at is None
-        entry = self.balls, self.shut, self.max_used, self.in_full
         stack: list[list] = []
-        base = depth
+        hint = 0
         ahead: list[int] = []
         while True:
+            if budget is not None and self.nodes > budget:
+                return
             v = self._next_open(hint)
             back = True  # whether the top frame has an arc to take back
             if v is None:
                 self._emit()
-            elif depth == self.split_at:
+            elif len(stack) == self.split_at:
                 self.tasks.append(Digraph(n, self._rows()))
             else:
                 lo = out_mask[v].bit_length()
@@ -423,10 +423,7 @@ class _Engine:
                                   frame, last])
                     back = False
                 else:
-                    skipped = cands.bit_count()
-                    if budget is not None and self.nodes + skipped > budget:
-                        return self._halt(stack, entry)
-                    self.nodes += skipped
+                    self.nodes += cands.bit_count()
             while stack:
                 top = stack[-1]
                 v, w, live, barred, saved, frame, last = top
@@ -439,19 +436,13 @@ class _Engine:
                     live ^= b
                     below = barred & (b - 1)
                     barred ^= below
-                    skipped = below.bit_count()
-                    if budget is not None and self.nodes + skipped >= budget:
-                        return self._halt(stack[:-1], entry)
-                    self.nodes += skipped + 1
+                    self.nodes += below.bit_count() + 1
                     w = b.bit_length() - 1
                     ahead = check(v, w, frame)
                     if not ahead:
                         continue
                     if w < last and not live & ~ahead[0]:
-                        skipped = (live | barred).bit_count()
-                        if budget is not None and self.nodes + skipped > budget:
-                            return self._halt(stack[:-1], entry)
-                        self.nodes += skipped
+                        self.nodes += (live | barred).bit_count()
                         continue
                     if land(v, w, ahead, frame):
                         break
@@ -459,43 +450,21 @@ class _Engine:
                     in_mask[w] ^= 1 << v
                     self.balls, self.shut, self.max_used, self.in_full = saved
                 else:
-                    skipped = barred.bit_count()
-                    if budget is not None and self.nodes + skipped > budget:
-                        return self._halt(stack[:-1], entry)
-                    self.nodes += skipped
+                    self.nodes += barred.bit_count()
                     stack.pop()
                     back = True
                     continue
                 top[1:4] = w, live, barred
-                hint, depth = v, base + len(stack)
+                hint = v
                 break
             else:
                 return
 
-    def _halt(self, landed: list[list], entry: tuple) -> None:
-        """Stop _dfs on the budget, leaving the state as the walk found it.
-
-        landed holds the frames whose arcs are still landed: all of the
-        stack when the stop comes at the end of a frame that was never
-        pushed, which may be the walk's first, and all but the top frame
-        otherwise, since the top one has taken its arc back or, for a
-        child counted in it, never landed it.  Each takes its arc back,
-        and entry, the balls, shut, max_used and in_full the walk started
-        from, is put back.  A stop comes only once the candidates passed
-        reach the budget, so nodes is the budget.
-        """
-        out_mask, in_mask = self.out_mask, self.in_mask
-        for u, x, *_ in landed:
-            out_mask[u] ^= 1 << x
-            in_mask[x] ^= 1 << u
-        self.balls, self.shut, self.max_used, self.in_full = entry
-        self.nodes = self.budget
-        self.stopped = True
-
     def run(self, split_at: int | None = None) -> None:
         self.split_at = split_at
         if self.enter():
-            self._dfs(0, 0)
+            self._dfs()
+        self.stopped = self.budget is not None and self.nodes > self.budget
 
 
 def split_tasks(params: SearchParams, pruning: str = "full") -> tuple[list[Digraph], dict]:
@@ -513,7 +482,7 @@ def split_tasks(params: SearchParams, pruning: str = "full") -> tuple[list[Digra
     engine.run(split_at=SPLIT_SLOTS)
     stats = {
         "nodes": engine.nodes,
-        "results": dict(engine.results),
+        "results": engine.results,
         "stopped": engine.stopped,
     }
     return engine.tasks, stats
@@ -523,11 +492,14 @@ def run_task(params: SearchParams, task: Digraph, pruning: str = "full",
              budget: int | None = None) -> tuple[dict[bytes, Digraph], int, bool]:
     """Exhaust one search subtree; returns (results, nodes, stopped).
 
-    stopped is set when the node budget ran out before the subtree did.
+    stopped is set when the subtree has more nodes than budget.  The walk
+    then ends at its first landed arc past the budget, so nodes exceeds
+    budget and results holds the classes found up to there; search()
+    throws such a task away whole.
     """
     engine = _Engine(params, pruning, task, budget=budget)
     engine.run()
-    return dict(engine.results), engine.nodes, engine.stopped
+    return engine.results, engine.nodes, engine.stopped
 
 
 class Checkpoint:
@@ -637,11 +609,12 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
     in-degree d requirement.  The split always runs in full; its tasks run
     in at most jobs processes (no more than the pending tasks or the
     cores) and are taken in index order.  params.max_nodes
-    counts the split, then each task: a task is accepted only if it
-    finished within the budget still left, and the first that did not is
-    discarded and ends the run, as does reaching params.max_results
-    classes.  A checkpoint restores finished tasks, which cost no budget,
-    and saves each accepted task as it lands.  So the outcome is identical
+    counts the split, then each task: a task is accepted only if its
+    nodes fit in the budget still left, which a stopped task's never do,
+    and the first that does not fit is discarded whole and ends the run,
+    as does reaching params.max_results classes.  A checkpoint restores
+    finished tasks, which cost no budget, and saves each accepted task
+    as it lands.  So the outcome is identical
     for any jobs, with or without a checkpoint.  The leaves of one call
     share the canon memo and verified classes of each process, which are
     emptied on return.  A run that stops early cancels the pool's queued
@@ -675,9 +648,10 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
             if idx in restored:
                 task_results, task_nodes = restored[idx]
             else:
-                task_results, task_nodes, task_stopped = next(outcomes)
+                task_results, task_nodes, _ = next(outcomes)
                 if left is not None:
-                    if task_stopped or task_nodes > left:
+                    # a stopped task has more nodes than its budget, which is at least left
+                    if task_nodes > left:
                         exhausted = True
                         break
                     left -= task_nodes

@@ -135,7 +135,10 @@ class TestCanon:
 
         p = tmp_path / "shuffled.dg"
         p.write_text(write_digraph(Digraph(9, out_lists)))
-        assert invoke("canon", str(p))[1] == invoke("canon", str(tmp_path / "shuffled.dg"))[1]
+        # the same file as some editors save it, with a UTF-8 byte-order mark
+        bom = tmp_path / "bom.dg"
+        bom.write_text("\ufeff" + p.read_text(), encoding="utf-8")
+        assert invoke("canon", str(bom)) == invoke("canon", str(p))
         assert invoke("canon", str(p))[1].strip() == canonical_form(cat_a).hex()
 
     def test_malformed_file(self, tmp_path):

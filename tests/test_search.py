@@ -353,15 +353,25 @@ def _state(engine):
 
 
 class _EmitLog(_Engine):
-    """The engine with the node count and the results so far recorded at every leaf."""
+    """The engine with the node count recorded at every kept arc it lands and, with the results so far, at every leaf.
+
+    The start partial's arcs land at 0 nodes, which passes no budget.
+    """
 
     def __init__(self, params, pruning, start, budget):
         super().__init__(params, pruning, start, budget)
         self.log = []
+        self.landed = []
 
     def _emit(self):
         super()._emit()
         self.log.append((self.nodes, dict(self.results)))
+
+    def _land(self, v, w, ahead, frame):
+        kept = super()._land(v, w, ahead, frame)
+        if kept:
+            self.landed.append(self.nodes)
+        return kept
 
 
 P223 = SearchParams(d=2, k=2, epsilon=3, diregular=True)
@@ -384,46 +394,62 @@ class TestBudgets:
         pytest.param(P232, 13, id="2,3,+2-13"),
     ])
     def test_every_budget_stops_where_the_walk_does(self, params, index):
-        # a budget of b nodes explores the first b nodes of the unbudgeted
-        # walk, keeps the classes it emits within them, and stops exactly
-        # when the walk has more than b nodes, wherever the b-th node falls,
-        # with every arc of the walk taken back
+        # a budget of b nodes stops exactly the walks of more than b nodes.
+        # A walk that is not stopped is the unbudgeted walk and puts the
+        # state back.  A stopped one ends at the unbudgeted walk's first
+        # landed arc past b, before it looks at that arc's child, with the
+        # classes emitted before it, or at the walk's end when no arc lands
+        # past b
         task = split_tasks(params)[0][index]
         walk = _EmitLog(params, "full", task, budget=None)
         walk.run()
         total = walk.nodes
         start = _Engine(params, "full", task, budget=None)
         assert start.enter()
+        assert _state(walk) == _state(start)
         for b in range(total + 2):
-            results = {}
-            for at, so_far in walk.log:
-                if at <= b:
-                    results = so_far
             engine = _Engine(params, "full", task, budget=b)
             engine.run()
-            assert (engine.results, engine.nodes, engine.stopped) == (results, min(b, total), b < total)
-            assert _state(engine) == _state(start)
+            assert engine.stopped == (b < total)
+            if engine.stopped:
+                assert b < engine.nodes <= total
+            stop = next((at for at in walk.landed if at > b), None)
+            if stop is None:
+                assert (engine.results, engine.nodes) == (walk.results, total)
+                assert _state(engine) == _state(start)
+            else:
+                emitted = [so_far for at, so_far in walk.log if at < stop]
+                assert (engine.results, engine.nodes) == (emitted[-1] if emitted else {}, stop)
 
     @pytest.mark.parametrize("budget", range(5))
     def test_a_stop_in_a_first_frame_with_every_candidate_barred(self, budget):
-        # the stop comes at the end of a frame that was never pushed, with
-        # no arc landed: the audit checks the count and the state left
+        # the walk lands no arc, so it runs to its end, a frame that was
+        # never pushed, and is stopped when its three nodes pass the
+        # budget; the audit checks the count and the state left
         engine = _AuditedEngine(P321, "full", split_tasks(P321)[0][482], budget=budget)
         engine.run()
-        assert (engine.nodes, engine.checked, engine.stopped) == (min(budget, 3),) * 2 + (budget < 3,)
+        assert (engine.nodes, engine.checked, engine.stopped) == (3, 3, budget < 3)
 
     def test_a_stop_inside_a_child_counted_in_its_parent(self):
-        # each budget stops between the first and the last candidate of a
-        # child that the walk counts in its parent frame, with the audit on
+        # a budget that falls between the first and the last candidate of a
+        # child counted in its parent frame stops the walk at its next
+        # landed arc, with the audit on
         task = split_tasks(P232)[0][13]
         walk = _AuditedEngine(P232, "full", task, budget=None)
         walk.run()
         inside = [at + 1 for at, size in walk.counted if size >= 2]
         assert len(inside) == 23
         for budget in inside[:4]:
+            stop = next((at for at in walk.landed if at > budget), walk.nodes)
             engine = _AuditedEngine(P232, "full", task, budget=budget)
             engine.run()
-            assert (engine.nodes, engine.checked, engine.stopped) == (budget, budget, True)
+            assert (engine.nodes, engine.checked, engine.stopped) == (stop, stop, True)
+
+    @pytest.mark.parametrize("budget,nodes", [(0, 1), (1, 7), (10, 11), (1000, 1014)])
+    def test_a_stop_comes_at_the_first_landed_arc_past_the_budget(self, budget, nodes):
+        # the whole (3,2,+1) search walked from its seed has about a million
+        # nodes, so a walk that went on past its budget would take seconds
+        assert run_task(P321, seed_tree(P321), budget=budget) == ({}, nodes, True)
 
     def test_no_workers_refused(self):
         with pytest.raises(ValueError, match="worker count must be at least 1, got 0"):
@@ -477,22 +503,37 @@ class TestBudgets:
         assert out.nodes_explored == 3724
         assert len(out.results) == 2
 
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_budget_takes_whole_tasks_in_order(self, jobs):
-        # reference: the split, then each task's unbudgeted size while it fits
-        budget = 1500
+    # diregular (2,2,+2) splits in 154 nodes into 30 tasks.  A budget is
+    # either a number of nodes or one below, at or above a task boundary:
+    # the split's total and the running total after each task, up to the
+    # whole 3,724
+    @pytest.mark.parametrize("jobs,after,offset", [
+        *(pytest.param(jobs, None, 1500, id=str(jobs)) for jobs in (1, 2, 4)),
+        pytest.param(1, None, 0, id="1-0"),
+        *(pytest.param(1, after, offset, id=f"1-after{after}{offset:+d}")
+          for after in range(31) for offset in (-1, 0, 1)),
+        *(pytest.param(jobs, after, offset, id=f"{jobs}-after{after}{offset:+d}")
+          for jobs in (2, 4) for after, offset in ((7, 0), (19, -1))),
+    ])
+    def test_budget_takes_whole_tasks_in_order(self, jobs, after, offset):
+        # reference: the split, then each task's unbudgeted walk while it fits
         tasks, stats = split_tasks(P222)
-        nodes = stats["nodes"]
-        for task in tasks:
-            size = run_task(P222, task)[1]
+        walks = [run_task(P222, task) for task in tasks]
+        budget = offset if after is None else stats["nodes"] + sum(
+            nodes for _, nodes, _ in walks[:after]) + offset
+        merged, nodes, complete = dict(stats["results"]), stats["nodes"], True
+        for results, size, _ in walks:
             if nodes + size > budget:
+                complete = False
                 break
             nodes += size
-        serial = search(SearchParams(2, 2, 2, True, max_nodes=budget))
+            for data, g in results.items():
+                merged.setdefault(data, g)
         out = search(SearchParams(2, 2, 2, True, max_nodes=budget), jobs=jobs)
-        assert out == serial
-        assert out.nodes_explored == nodes
-        assert not out.complete
+        assert [(r.form.data, r.digraph) for r in out.results] == sorted(merged.items())
+        assert (out.nodes_explored, out.complete) == (nodes, complete)
+        if jobs > 1:
+            assert out == search(SearchParams(2, 2, 2, True, max_nodes=budget))
 
     def test_a_deep_walk_does_not_recurse(self):
         # the first 1,000 nodes of out-regular (2,2,+200), order 207, land
@@ -505,7 +546,7 @@ class TestBudgets:
             results, nodes, stopped = run_task(params, seed_tree(params), budget=1000)
         finally:
             sys.setrecursionlimit(limit)
-        assert (results, nodes, stopped) == ({}, 1000, True)
+        assert (results, nodes, stopped) == ({}, 1002, True)
 
     def test_generous_budget_still_complete(self):
         out = search(SearchParams(d=2, k=2, epsilon=2, diregular=True,
@@ -644,9 +685,11 @@ class _AuditedEngine(_Engine):
     the engine must count the child in v's frame and never land the arc,
     and otherwise land it before it tests anything else.  checked follows
     the walk and counts each barred candidate before the next tested one
-    or when its frame ends, and each tested one; a tested one comes only
-    below the budget, and a frame end that the walk goes on from only
-    within it.
+    or when its frame ends, and each tested one, so it is the engine's
+    node count whenever an arc lands and when the walk ends.  An arc lands
+    only while the nodes at the last landed arc, or 0 before the first,
+    are within the budget, and a walk that stops early stops right after
+    an arc lands past it.
     """
 
     def __init__(self, params, pruning, start, budget):
@@ -659,6 +702,7 @@ class _AuditedEngine(_Engine):
         self.listed = []
         self.due = None  # the kept arc that must land next
         self.counted = []  # (nodes before, candidates) of each child counted in its parent
+        self.landed = []  # the nodes when each arc of the walk landed
         self.cuts = 0  # fills cut by the multiplicity cut
 
     def _fresh_balls(self):
@@ -744,12 +788,10 @@ class _AuditedEngine(_Engine):
                 ended = self.listed.pop()[1]
                 self._pass_barred(ended)
                 assert not ended  # with no live candidate left out
-            assert self.budget is None or self.checked <= self.budget
             todo = self.listed[-1][1]
             self._pass_barred(todo)
             assert todo and todo[0] == (w, False)  # the next candidate, and a live one
             del todo[0]
-            assert self.budget is None or self.checked < self.budget
             self.checked += 1
         ahead = super()._check(v, w, frame)
         assert _state(self) == state
@@ -773,6 +815,7 @@ class _AuditedEngine(_Engine):
         if self.walking:
             assert self.due == (v, w)
             self.due = None
+            assert self.budget is None or (self.landed[-1] if self.landed else 0) <= self.budget
         kept = super()._land(v, w, ahead, frame)
         partial = Digraph(self.n, self._rows())
         assert kept == (not _oracle_cuts(partial, self.params, self.pruning))
@@ -783,29 +826,28 @@ class _AuditedEngine(_Engine):
             else:
                 assert self.balls == self._fresh_balls()
             self._check_shut()
+            if self.walking:
+                assert self.checked == self.nodes
+                self.landed.append(self.nodes)
         return kept
 
-    def _dfs(self, hint, depth):
+    def _dfs(self):
         before = _state(self)
         self.walking = True
-        super()._dfs(hint, depth)
+        super()._dfs()
         self.walking = False
-        assert _state(self) == before
         assert self.due is None
-        # past the last tested arc the walk ends frames from the top; it stops
-        # before a live candidate once the budget is reached, or at a frame
-        # end past the budget, and a stop counts exactly the budget
-        stop = False
-        while self.listed and not stop:
-            if self._pass_barred(self.listed[-1][1]):
-                assert self.budget is not None and self.checked >= self.budget
-                stop = True
-            else:
-                self.listed.pop()
-                stop = self.budget is not None and self.checked > self.budget
-        assert self.stopped == stop
-        if stop:
-            self.checked = self.budget
+        if _state(self) == before:
+            # the walk ran to its end: past its last tested arc it ends the
+            # frames left from the top, none with a live candidate
+            while self.listed:
+                assert not self._pass_barred(self.listed.pop()[1])
+        else:
+            # it returned at the top of its loop, right after an arc landed
+            # past the budget, and leaves that arc and those below it landed
+            assert self.budget is not None and self.landed
+            assert self.nodes == self.landed[-1] > self.budget
+        assert self.checked == self.nodes
 
 
 @st.composite
@@ -842,14 +884,16 @@ class TestIncrementalCheck:
         # its verdict is the oracle's, the stored balls with the frame's
         # pending sets are the BFS k-balls, shut is a full rescan's, every
         # frame is the one _frame builds from the k-balls, and each frame's
-        # restore gives the state back
+        # restore gives the state back, so a walk the budget does not stop
+        # leaves the balls it started with
         params, partial = case
         engine = _AuditedEngine(params, pruning, partial, budget=150)
         assume(engine.enter())  # the multiplicity cut may drop what basic kept
         initial = list(engine.balls)
         assert initial == engine._fresh_balls()
-        engine._dfs(0, 0)
-        assert engine.balls == initial
+        engine._dfs()
+        if engine.nodes <= 150:
+            assert engine.balls == initial
         assert engine.checked == engine.nodes
 
     @given(geodetic_partials(), st.sampled_from(["basic", "full"]), st.data())

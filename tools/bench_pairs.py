@@ -12,9 +12,13 @@ the change first when it is even; within a pair the workloads are
 interleaved, each one's two runs back to back.  The output holds, per
 workload and end-to-end metric of BENCHMARK.json (plus the unscaled
 wall time), every run, the medians and quartiles of each side and the
-number of pairs in which the change was better, then a summary of the
-runs' checks.  The exit status is 1 when a run was incorrect or had a
-failed operation.  Standard library only.
+number of pairs in which the change was better; per workload, each
+run's deterministic counters (run.py's ``counters`` line), whether the
+two sides' counters agreed in every pair and the keys that differed;
+then a summary of the runs' checks.  The exit status is 1 when a run
+was incorrect or had a failed operation; counters that differ do not
+change it, since a pruning change moves node counts on purpose.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -42,12 +46,12 @@ def _git(*args: str) -> str:
 
 
 def _run(rev: str, workload: str, seed: int,
-         seconds: float) -> tuple[dict, bool, int, list[str]]:
+         seconds: float) -> tuple[dict, bool, int, list[str], dict | None]:
     """One run of perfbench/run.py on a fresh extraction of rev.
 
     Returns the run's metrics, whether it was correct, its failed
-    operations and its count-change lines.  A run that exits without a
-    result counts as incorrect.
+    operations, its count-change lines and its counters, None when it
+    printed none.  A run that exits without a result counts as incorrect.
     """
     work = tempfile.mkdtemp(prefix="bench_pairs_")
     try:
@@ -68,13 +72,17 @@ def _run(rev: str, workload: str, seed: int,
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         sys.stderr.write(done.stdout + done.stderr)
-        return {}, False, 0, []
+        return {}, False, 0, [], None
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    counters = None
     for line in lines:
         if line.startswith("wall_s (unscaled) median "):
             metrics[UNSCALED] = float(line.split()[3])
+        elif line.startswith("counters "):
+            counters = json.loads(line[len("counters "):])
     correct = done.returncode == 0 and result["correct"] is True
-    return metrics, correct, result["failed"], [l for l in lines if l.startswith("count-change")]
+    return (metrics, correct, result["failed"],
+            [l for l in lines if l.startswith("count-change")], counters)
 
 
 def _summary(runs: list[float]) -> dict:
@@ -107,19 +115,21 @@ def main(argv: list[str] | None = None) -> int:
              "change": _git("rev-parse", "--short", args.change)}
 
     runs = {w: {side: [] for side in sides} for w in workloads}
+    counted = {w: {side: [] for side in sides} for w in workloads}
     checks = {side: {"runs": 0, "all_correct": True, "failed_ops": 0, "count_change_lines": []}
               for side in sides}
     for i in range(1, args.pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for w in workloads:
             for side in order:
-                metrics, correct, failed, changes = _run(sides[side], w, i, args.seconds)
+                metrics, correct, failed, changes, counters = _run(sides[side], w, i, args.seconds)
                 check = checks[side]
                 check["runs"] += 1
                 check["all_correct"] &= correct
                 check["failed_ops"] += failed
                 check["count_change_lines"] = sorted(set(check["count_change_lines"]) | set(changes))
                 runs[w][side].append(metrics)
+                counted[w][side].append(counters)
                 print(f"pair {i} {w} {side} " + json.dumps(metrics), file=sys.stderr, flush=True)
 
     pairs = {}
@@ -135,15 +145,24 @@ def main(argv: list[str] | None = None) -> int:
             pairs[w][name] = {"parent": _summary(parent), "change": _summary(change),
                               "change_better_pairs": wins, "pairs": args.pairs,
                               "parent_runs": parent, "change_runs": change}
+    counters = {}
+    for w in workloads:
+        parent, change = counted[w]["parent"], counted[w]["change"]
+        differ = sorted({key for p, c in zip(parent, change) if p is not None and c is not None
+                         for key in p.keys() | c.keys() if p.get(key) != c.get(key)})
+        counters[w] = {"agree": None not in parent + change and not differ,
+                       "differing_keys": differ, "parent_runs": parent, "change_runs": change}
     about = (f"{args.about} 'pairs' holds {args.pairs} alternating parent/change runs of "
              f"perfbench/run.py --seconds {args.seconds:g} --trace 0 per workload (seed i for "
              "pair i, parent first in odd pairs), each side extracted fresh with git archive "
              "for every run and run with PYTHONDONTWRITEBYTECODE=1; the workloads were "
-             f"interleaved within each pair. {UNSCALED} is the unscaled median wall time.").strip()
+             f"interleaved within each pair. {UNSCALED} is the unscaled median wall time. "
+             "'counters' holds each run's deterministic counters and whether the two "
+             "sides' agreed in every pair.").strip()
     out = {"about": about, "parent_commit": sides["parent"], "change_commit": sides["change"],
            "host": {"cores": os.cpu_count(), "machine": platform.machine(),
                     "python": platform.python_version()},
-           "pairs": pairs, "checks": checks}
+           "pairs": pairs, "counters": counters, "checks": checks}
     out_path.write_text(json.dumps(out, indent=1) + "\n")
     return 0 if all(c["all_correct"] and not c["failed_ops"] for c in checks.values()) else 1
 
