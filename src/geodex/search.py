@@ -25,12 +25,13 @@ candidate, one outside U, is tested before its arc lands, since its
 balls of radius at most k-1 are the same with the arc as without it:
 one forward scan of w's balls and k ANDs against the layers' sets, or
 nothing at all when w has no out-arc yet.  A cut arc never touches the
-state.  A kept arc that leaves v's row open leads to a frame for v
-whose candidates are known at once: the frame's remaining ones above
-w, and one more when w is a newcomer, and the live ones among them are
-those outside w's ball of radius k-1.  When none is live, the child is
-counted in its parent by one popcount and the arc is never landed,
-except while the walk splits, so that no task is dropped.
+state, whichever cut it meets (see the multiplicity cut below).  A kept
+arc that leaves v's row open leads to a frame for v whose candidates
+are known at once: the frame's remaining ones above w, and one more
+when w is a newcomer, and the live ones among them are those outside
+w's ball of radius k-1.  When none is live, the child is counted in its
+parent by one popcount and the arc is never landed, except while the
+walk splits, so that no task is dropped.
 The stored balls change once per filled row, not once per arc: every
 source of one layer gains the same set, so while v's row is open a
 kept arc only adds that set to the layer's set and to its pending set,
@@ -45,9 +46,11 @@ the test's first step is the U test that bars a candidate.  The frames
 sit on an explicit stack, so Python's recursion limit does not bound
 the depth of a search.  Full pruning in diregular mode adds one more
 cut when a row fills: a ball that the fill makes full is finished, and
-a vertex shut out of more than epsilon finished k-balls cuts.
-All cuts are sound: they only fire on partials no valid completion can
-extend.
+a vertex shut out of more than epsilon finished k-balls cuts.  It is
+decided on copies of the balls and the counts before the arc lands, and
+only a kept fill installs them, so backtracking is the one place where
+an arc is taken back.  All cuts are sound: they only fire on partials
+no valid completion can extend.
 """
 
 from __future__ import annotations
@@ -127,17 +130,19 @@ class _Engine:
     _frame).  shut[u] counts the finished balls that miss u, and stays
     zero unless the multiplicity cut is on.  _check tests an arc against
     the frame of its tail and changes nothing; _land is the only code
-    that adds an arc, one that _check kept.  The cost per fresh frame is
-    one backward scan and one candidate mask, per same-vertex frame a few
-    ORs on its parent's frame; per barred candidate (one in the frame's
-    union U) a count and no more; per live candidate with no out-arc a
-    test and no scan, per other live candidate one forward scan and k
-    ANDs; per kept arc whose child would have no live candidate one AND
-    and a count; and per filled row one pass over the sources plus
-    epsilon counts per finished ball.  A filled row grows a copy of balls,
-    never the list a frame saw, so _dfs takes each arc back by clearing
-    its two mask bits and putting back the frame's balls, shut, max_used
-    and in_full, without copying.
+    that adds an arc, one that _check kept, and it decides a row fill on
+    copies before it changes anything, so neither cut touches the
+    state.  The cost per fresh frame is one backward scan and one
+    candidate mask, per same-vertex frame a few ORs on its parent's frame;
+    per barred candidate (one in the frame's union U) a count and no more;
+    per live candidate with no out-arc a test and no scan, per other live
+    candidate one forward scan and k ANDs; per kept arc whose child would
+    have no live candidate one AND and a count; and per filled row one
+    pass over the sources plus epsilon counts per finished ball.  A filled
+    row installs grown copies of balls and shut, never changing the lists
+    a frame saw, so _dfs takes each landed arc back, in one place, by
+    clearing its two mask bits and putting back the frame's balls, shut,
+    max_used and in_full, without copying.
     """
 
     def __init__(self, params: SearchParams, pruning: str, start: Digraph,
@@ -180,8 +185,11 @@ class _Engine:
         node, with a frame built for it alone, and its new ends are
         committed to the stored balls at once, even mid-row, since a
         task's start may end with a row open and the DFS then builds its
-        first frame from the balls.  An arc into a vertex of in-degree d
-        is refused in diregular mode, as the DFS never offers one.
+        first frame from the balls.  Mid-row this installs what _grow
+        returns, which finishes no ball and so cannot cut: every source
+        it grows lies within k-1 steps of v, whose row is open.  An arc
+        into a vertex of in-degree d is refused in diregular mode, as
+        the DFS never offers one.
         Stopping at the first cut gives the verdict of the whole partial:
         arcs only ever break geodecity and raise in-degrees, and a ball
         reaches full size only on an arc that fills a row, which is when
@@ -195,7 +203,7 @@ class _Engine:
             if not (ahead and self._land(v, w, ahead, frame)):
                 return False
             if self.out_mask[v].bit_count() < self.d:
-                self._grow(frame[0], ahead)
+                self.balls, self.shut = self._grow(frame[0], ahead)
         return True
 
     def _frame(self, v: int) -> tuple[list[int], list[int], int, list[int]]:
@@ -265,11 +273,16 @@ class _Engine:
         The only code that sets a mask bit or adds to in_full.  An arc
         that leaves v's row open touches no stored ball and cannot cut:
         the caller carries ahead in the frame's pending sets.  The arc
-        that fills the row commits each layer's pending set and its own
-        to a copy of balls by _grow, which may cut.  A cut leaves the
-        state as it stands; the caller restores it.
+        that fills the row first has _grow commit each layer's pending
+        set and its own to copies of balls and shut, which may cut; only
+        a kept fill installs them and lands, so a cut changes nothing.
         """
         out_mask, in_mask = self.out_mask, self.in_mask
+        if out_mask[v].bit_count() == self.d - 1:
+            grown = self._grow(frame[0], list(map(or_, frame[3], ahead)))
+            if grown is None:
+                return False
+            self.balls, self.shut = grown
         out_mask[v] |= 1 << w
         in_mask[w] |= 1 << v
         if in_mask[w].bit_count() >= self.d:
@@ -278,22 +291,19 @@ class _Engine:
             self.max_used = w
         if self.max_used < v:
             self.max_used = v
-        if out_mask[v].bit_count() < self.d:
-            return True
-        found, unions, union, pending = frame
-        self.balls = self.balls[:]
-        return self._grow(found, list(map(or_, pending, ahead)))
+        return True
 
-    def _grow(self, found: list[int], news: list[int]) -> bool:
-        """OR news[t] into the stored ball of each source in layer found[t]; False means cut.
+    def _grow(self, found: list[int], news: list[int]) -> tuple[list[int], list[int]] | None:
+        """The stored balls with news[t] ORed into each source of layer found[t], and shut.
 
-        Without duplicate walks a ball is full exactly when every vertex
-        within k-1 steps of its source has its whole out-list, so it is
-        then finished.  In full diregular mode each of its epsilon
-        outliers gains one in shut, copied at the fill's first finished
-        ball, and the first count above epsilon cuts at once.
+        Returns a new (balls, shut) pair, or None for a cut, and changes
+        nothing.  Without duplicate walks a ball is full exactly when
+        every vertex within k-1 steps of its source has its whole
+        out-list, so it is then finished.  In full diregular mode each of
+        its epsilon outliers gains one in shut, copied at the first
+        finished ball, and the first count above epsilon cuts at once.
         """
-        balls, moore, mult, shut = self.balls, self.moore, self.mult_mode, None
+        balls, moore, mult, shut = self.balls[:], self.moore, self.mult_mode, None
         for layer, new in zip(found, news):
             while layer:
                 b = layer & -layer
@@ -303,7 +313,7 @@ class _Engine:
                 balls[s] = ball
                 if mult and ball.bit_count() == moore:
                     if shut is None:
-                        shut = self.shut = self.shut[:]
+                        shut = self.shut[:]
                     out = self.everyone ^ ball
                     while out:
                         b = out & -out
@@ -311,8 +321,8 @@ class _Engine:
                         u = b.bit_length() - 1
                         shut[u] += 1
                         if shut[u] > self.params.epsilon:
-                            return False
-        return True
+                            return None
+        return balls, self.shut if shut is None else shut
 
     # ---- generation ----
 
@@ -372,9 +382,10 @@ class _Engine:
         otherwise, and 0 when an arc fills the row or the walk splits, so
         that no task is dropped.  Every candidate is a node, barred, cut
         or landed, and so is every candidate of a child counted in its
-        parent.  A frame takes each arc back by clearing its two mask
-        bits and putting back what it saved, so a walk that ends leaves
-        the state as it found it.  The budget is tested once per landed
+        parent.  A cut arc, by _check or by _land, leaves the state as it
+        was, so the only arc a frame takes back is the one it landed: it
+        clears its two mask bits and puts back what it saved, and a walk
+        that ends leaves the state as it found it.  The budget is tested once per landed
         arc, at the top of the loop: once the nodes pass it the walk
         returns there, with its arcs still landed, and run() marks it
         stopped.
@@ -446,9 +457,6 @@ class _Engine:
                         continue
                     if land(v, w, ahead, frame):
                         break
-                    out_mask[v] ^= b
-                    in_mask[w] ^= 1 << v
-                    self.balls, self.shut, self.max_used, self.in_full = saved
                 else:
                     self.nodes += barred.bit_count()
                     stack.pop()
@@ -608,16 +616,16 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
     Every vertex gets out-degree exactly d; the diregular flag adds the
     in-degree d requirement.  The split always runs in full; its tasks run
     in at most jobs processes (no more than the pending tasks or the
-    cores) and are taken in index order.  params.max_nodes
-    counts the split, then each task: a task is accepted only if its
-    nodes fit in the budget still left, which a stopped task's never do,
-    and the first that does not fit is discarded whole and ends the run,
-    as does reaching params.max_results classes.  A checkpoint restores
-    finished tasks, which cost no budget, and saves each accepted task
-    as it lands.  So the outcome is identical
-    for any jobs, with or without a checkpoint.  The leaves of one call
-    share the canon memo and verified classes of each process, which are
-    emptied on return.  A run that stops early cancels the pool's queued
+    cores this process may run on) and are taken in index order.
+    params.max_nodes counts the split, then each task: a task is
+    accepted only if its nodes fit in the budget still left, which a
+    stopped task's never do, and the first that does not fit is discarded
+    whole and ends the run, as does reaching params.max_results classes.
+    A checkpoint restores finished tasks, which cost no budget, and saves
+    each accepted task as it lands.  So the outcome is identical for any
+    jobs, with or without a checkpoint.  The leaves of one call share the
+    canon memo and verified classes of each process, which are emptied
+    on return.  A run that stops early cancels the pool's queued
     tasks and waits for the running ones; no worker is killed.
     """
     if jobs < 1:
@@ -629,8 +637,9 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
     nodes = stats["nodes"]
     left = None if params.max_nodes is None else params.max_nodes - nodes
     complete = exhausted = False
-    # more workers than pending tasks or cores would only sit idle
-    workers = min(jobs, len(pending), os.cpu_count() or 1)
+    # more workers than pending tasks or the cores this process may use would only sit idle
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(pending), cores)
     pool = None
     if workers > 1:
         import concurrent.futures  # only a pooled search pays for the import

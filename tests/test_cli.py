@@ -435,7 +435,8 @@ class TestCheckpointBudgetAndJobs:
 
         serial = _slices(tmp_path / "serial.json")
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool never outgrows the cores
+        # the pool never outgrows the cores this process may use
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         parallel = _slices(tmp_path / "parallel.json", "--jobs", "2")
         assert len(serial) > 1
         assert parallel == serial

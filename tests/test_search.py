@@ -205,11 +205,15 @@ class TestDeterminism:
             assert out.nodes_explored == base.nodes_explored
             assert out.complete == base.complete
 
-    # (2,2,+2) splits into 30 tasks; None means no pool, a serial run
-    @pytest.mark.parametrize("jobs,cores,workers", [
-        (64, 1000, 30), (64, 4, 4), (3, 1000, 3), (64, 1, None), (64, None, None),
+    # (2,2,+2) splits into 30 tasks; cores is the machine's CPU count and
+    # usable the CPUs this process may run on, None where the platform
+    # cannot tell; workers None means no pool, a serial run
+    @pytest.mark.parametrize("jobs,cores,usable,workers", [
+        (64, 1000, 1000, 30), (64, 4, 4, 4), (3, 1000, 1000, 3), (64, 1, 1, None),
+        (64, None, None, None), (64, 4, None, 4), (2, 2, 1, None),
     ])
-    def test_pool_never_larger_than_tasks_or_cores(self, monkeypatch, jobs, cores, workers):
+    def test_pool_never_larger_than_tasks_or_cores(self, monkeypatch, jobs, cores, usable,
+                                                   workers):
         serial = search(P222)
         sizes = []
 
@@ -226,6 +230,11 @@ class TestDeterminism:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        if usable is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)),
+                                raising=False)
         assert search(P222, jobs=jobs) == serial
         assert sizes == ([] if workers is None else [workers])
 
@@ -261,7 +270,8 @@ class TestPoolEarlyStop:
             raise AssertionError(f"{process.name} was terminated")
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate", terminate)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+        # a pool even on one core
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for _ in range(3):
             assert search(params, jobs=2) == serial
 
@@ -659,8 +669,9 @@ class _AuditedEngine(_Engine):
     Each frame's state is recorded when its first arc is tested, and
     every later test and every landing must find exactly that state: the
     frame restored all it changed for the children before, _check changed
-    nothing, and in_full must hold exactly the vertices of in-degree d or
-    more.  A frame must then be v's frame as _frame builds it from the BFS
+    nothing, and neither did a _land that cut, which the audit asserts
+    right after it returns.  in_full must hold exactly the vertices of
+    in-degree d or more.  A frame must then be v's frame as _frame builds it from the BFS
     k-balls, whether _frame built it or _dfs derived it from its parent,
     and the stored balls OR its pending sets must be those k-balls.
     _check's verdict must be the basic oracle's on the state with the arc
@@ -814,11 +825,15 @@ class _AuditedEngine(_Engine):
             assert self.due == (v, w)
             self.due = None
             assert self.budget is None or (self.landed[-1] if self.landed else 0) <= self.budget
+        rows = self._rows()
+        rows[v] += (w,)
         kept = super()._land(v, w, ahead, frame)
-        partial = Digraph(self.n, self._rows())
-        assert kept == (not _oracle_cuts(partial, self.params, self.pruning))
+        assert kept == (not _oracle_cuts(Digraph(self.n, rows), self.params, self.pruning))
         self.cuts += not kept
-        if kept:
+        if not kept:
+            # the multiplicity cut leaves the state exactly as the frame recorded it
+            assert _state(self) == self.opened[id(frame)][1]
+        else:
             if self.out_mask[v].bit_count() < self.d:
                 self._check_grown(frame[0], [p | new for p, new in zip(frame[3], ahead)])
             else:
@@ -898,8 +913,8 @@ class TestIncrementalCheck:
     @settings(max_examples=100, deadline=None)
     def test_landing_an_arc_keeps_the_backward_layers(self, case, pruning, data):
         # what lets one _frame(v) serve every arc out of v: v is the layers'
-        # depth 0, so no arc out of it that _check keeps, cut or not when
-        # it lands, moves them
+        # depth 0, so no arc out of it that _check keeps moves them, whether
+        # _land keeps it or cuts it, and only a kept arc is taken back
         params, partial = case
         engine = _Engine(params, pruning, partial, budget=None)
         assume(engine.enter())
@@ -916,8 +931,10 @@ class TestIncrementalCheck:
             ahead = engine._check(v, w, frame)
             verdicts.add(bool(ahead))
             if ahead:
-                engine._land(v, w, ahead, frame)
+                kept = engine._land(v, w, ahead, frame)
                 assert layers(engine.in_mask, v, params.k - 1) == before
+                if not kept:
+                    continue
                 engine.out_mask[v] ^= 1 << w
                 engine.in_mask[w] ^= 1 << v
                 engine.balls, engine.shut, engine.max_used, engine.in_full = saved
