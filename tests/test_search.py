@@ -209,8 +209,13 @@ class TestDeterminism:
     # usable the CPUs this process may run on, None where the platform
     # cannot tell; workers None means no pool, a serial run
     @pytest.mark.parametrize("jobs,cores,usable,workers", [
-        (64, 1000, 1000, 30), (64, 4, 4, 4), (3, 1000, 1000, 3), (64, 1, 1, None),
-        (64, None, None, None), (64, 4, None, 4), (2, 2, 1, None),
+        pytest.param(64, 1000, 1000, 30, id="64-1000-30"),
+        pytest.param(64, 4, 4, 4, id="64-4-4"),
+        pytest.param(3, 1000, 1000, 3, id="3-1000-3"),
+        pytest.param(64, 1, 1, None, id="64-1-None"),
+        pytest.param(64, None, None, None, id="64-None-None"),
+        pytest.param(64, 4, None, 4, id="64-4-4-no-affinity"),
+        pytest.param(2, 2, 1, None, id="2-2-None-1-usable"),
     ])
     def test_pool_never_larger_than_tasks_or_cores(self, monkeypatch, jobs, cores, usable,
                                                    workers):
@@ -671,9 +676,10 @@ class _AuditedEngine(_Engine):
     frame restored all it changed for the children before, _check changed
     nothing, and neither did a _land that cut, which the audit asserts
     right after it returns.  in_full must hold exactly the vertices of
-    in-degree d or more.  A frame must then be v's frame as _frame builds it from the BFS
-    k-balls, whether _frame built it or _dfs derived it from its parent,
-    and the stored balls OR its pending sets must be those k-balls.
+    in-degree d or more.  A frame must then be v's frame as _frame
+    builds it from the BFS k-balls, whether _frame built it or _dfs
+    derived it from its parent, and the stored balls OR its pending sets
+    must be those k-balls.
     _check's verdict must be the basic oracle's on the state with the arc
     added, and _land's the oracle's in the engine's own mode.  After a
     kept arc the stored balls OR the pending sets grown by what _check

@@ -17,7 +17,8 @@ run's deterministic counters (run.py's ``counters`` line), whether the
 two sides' counters agreed in every pair and the keys that differed;
 then a summary of the runs' checks.  The exit status is 1 when a run
 was incorrect or had a failed operation; counters that differ do not
-change it, since a pruning change moves node counts on purpose.
+change it, since a pruning change moves node counts on purpose.  An
+--out path that cannot be written exits 2 before any run.
 Standard library only.
 """
 
@@ -105,7 +106,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
 
+    # a path that cannot be written fails now, not after every run is done
     out_path = Path(args.out).resolve()
+    existed = out_path.exists()
+    try:
+        with open(out_path, "a"):
+            pass
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    if not existed:
+        out_path.unlink()
     os.chdir(ROOT)
     spec = json.loads(Path("BENCHMARK.json").read_text())
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
