@@ -14,16 +14,16 @@ round only the cells that the last round split get a field; the others
 add the same count to every vertex of a cell.  Two first rounds sign
 less.  On a single cell every count is a degree, so the round signs by
 out- and in-degree alone, and a degree-regular digraph, such as every
-diregular leaf of a search, is equitable at once.  When the walk splits
-a vertex v off in front of its cell, the partition it splits is
-equitable: a vertex's count in the cell's rest is its old count less its
-count in [v], and [v]'s field lies above the rest's, so only cells that
-hold a neighbour of v can split, by whether a vertex has an arc to v and
-an arc from v, and in that order.  Both rounds give the pieces of the
-full round in its order, so no byte moves.  A splitter queue (McKay &
-Piperno, "Practical graph isomorphism, II", 2014) would reach the same
-equitable partition with its cells in another order, so it would change
-every form's bytes.
+diregular leaf of a search, gets its cell back unsigned, equitable at
+once.  When the walk splits a vertex v off in front of its cell, the
+partition it splits is equitable: a vertex's count in the cell's rest is
+its old count less its count in [v], and [v]'s field lies above the
+rest's, so only cells that hold a neighbour of v can split, by whether a
+vertex has an arc to v and an arc from v, and in that order.  Both
+rounds give the pieces of the full round in its order, so no byte moves.
+A splitter queue (McKay & Piperno, "Practical graph isomorphism, II",
+2014) would reach the same equitable partition with its cells in another
+order, so it would change every form's bytes.
 
 Every discrete leaf yields a relabeling; the canonical form is the
 lexicographically smallest adjacency encoding over all leaves.  Two
@@ -88,17 +88,20 @@ def _refine(g: Digraph, cells: list[list[int]], v: int | None = None
     # another.
     # Two first rounds sign less and split the same.  On one cell every
     # count is a degree, so (out-degree, in-degree, -out-degree, -in-degree)
-    # sorts as the degrees alone, and a degree-regular digraph returns at
-    # once.  When v was just split off in front of the rest of its cell in
-    # a partition that this function returned, a vertex had the same count
-    # in every cell as the others of its cell, and its count in the rest is
-    # that count less its count in [v]; so [v]'s field, above the rest's,
-    # is the first that can differ, only a cell that holds an in- or
-    # out-neighbour of v can split, and its pieces come in the order of
-    # (arc to v, arc from v), descending.  first[u] is u's key in that round;
-    # a vertex without one has no arc to or from v
+    # sorts as the degrees alone, and a degree-regular digraph, whose out-
+    # and in-degrees are then one number, as both sum to the arc count,
+    # returns its cell unsigned.  When v was just split off in front of the
+    # rest of its cell in a partition that this function returned, a vertex
+    # had the same count in every cell as the others of its cell, and its
+    # count in the rest is that count less its count in [v]; so [v]'s field,
+    # above the rest's, is the first that can differ, only a cell that holds
+    # an in- or out-neighbour of v can split, and its pieces come in the
+    # order of (arc to v, arc from v), descending.  first[u] is u's key in
+    # that round; a vertex without one has no arc to or from v
     n = g.n
     out, into = g.out, g.in_lists
+    if v is None and len(cells) == 1 and len({*map(len, out), *map(len, into)}) == 1:
+        return cells
     fresh = cells
     if v is not None or len(cells) == 1:
         if v is None:

@@ -74,6 +74,17 @@ class Digraph:
         self.out = tuple(lists)
         self.in_lists = tuple(tuple(srcs) for srcs in incoming)
 
+    @classmethod
+    def _unchecked(cls, n: int, out: tuple[tuple[int, ...], ...],
+                   in_lists: tuple[tuple[int, ...], ...]) -> Digraph:
+        # the digraph with these rows and in-lists, taken as they are: nothing
+        # is checked or copied, so the caller vouches that they are what
+        # __init__ would build, strictly increasing tuples in range 0..n-1,
+        # in_lists[w] holding exactly the v with w in out[v]
+        g = cls.__new__(cls)
+        g.n, g.out, g.in_lists = n, out, in_lists
+        return g
+
     def arcs(self):
         for v, targets in enumerate(self.out):
             for w in targets:

@@ -73,11 +73,24 @@ SPLIT_SLOTS = 4
 CHECKPOINT_VERSION = 2
 
 # The canon memo (see canonical_form) that every leaf of this process goes
-# through, and the (params, form) pairs whose class has passed verify.
-# split_tasks empties both, so each search starts with them empty, and
-# search() empties them on return; a pool worker's copies end with the pool.
+# through, the (params, form) pairs whose class has passed verify, and the
+# rows decoded from the engine's masks (see _Rows).  split_tasks empties
+# all three, so each search starts with them empty, and search() empties
+# them on return; a pool worker's copies end with the pool.
 _memo: dict = {}
 _verified: set = set()
+
+
+# mask -> its set bits, lowest first, decoded on first use: a d-out row of
+# order n is one of at most sum C(n, i), i <= d, masks, so the leaves and
+# tasks of a search decode a few masks over and over
+class _Rows(dict):
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        row = self[mask] = _members(mask, mask.bit_length())
+        return row
+
+
+_decoded = _Rows()
 
 
 @dataclass(frozen=True)
@@ -333,15 +346,24 @@ class _Engine:
         return v if v < self.n else None
 
     def _rows(self) -> list[tuple[int, ...]]:
-        """The decided out-lists, decoded from out_mask."""
-        return [_members(m, self.n) for m in self.out_mask]
+        """The decided out-lists, decoded from out_mask through the row memo."""
+        return list(map(_decoded.__getitem__, self.out_mask))
+
+    def _digraph(self) -> Digraph:
+        """The partial as a Digraph, its rows and in-lists decoded from the masks.
+
+        The masks hold what Digraph() would check and build, since out_mask
+        and in_mask are set together, bit by bit, so it is built as it is.
+        """
+        row = _decoded.__getitem__
+        return Digraph._unchecked(self.n, tuple(map(row, self.out_mask)), tuple(map(row, self.in_mask)))
 
     def _emit(self) -> None:
         """Keep the task's first leaf of each class, and verify each class once per process.
 
         Once is enough, because isomorphic digraphs pass or fail verify together.
         """
-        g = Digraph(self.n, self._rows())
+        g = self._digraph()
         form = canonical_form(g, _memo).data
         if (self.params, form) not in _verified:
             if not verify(g, self.params).ok:
@@ -405,7 +427,7 @@ class _Engine:
             if v is None:
                 self._emit()
             elif len(stack) == self.split_at:
-                self.tasks.append(Digraph(n, self._rows()))
+                self.tasks.append(self._digraph())
             else:
                 lo = out_mask[v].bit_length()
                 hi = self.max_used if self.max_used > v else v
@@ -481,11 +503,12 @@ def split_tasks(params: SearchParams, pruning: str = "full") -> tuple[list[Digra
     Returns the surviving partials as independent tasks plus a stats dict
     with nodes, results found below the split depth, and a stopped flag,
     which stays False because the split has no node budget.  It empties
-    the canon memo and the verified classes first, since every search
-    starts with its split.
+    the canon memo, the verified classes and the decoded rows first, since
+    every search starts with its split.
     """
     _memo.clear()
     _verified.clear()
+    _decoded.clear()
     engine = _Engine(params, pruning, seed_tree(params), budget=None)
     engine.run(split_at=SPLIT_SLOTS)
     stats = {
@@ -678,6 +701,7 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
             pool.shutdown(cancel_futures=True)
         _memo.clear()
         _verified.clear()
+        _decoded.clear()
     if checkpoint and exhausted:
         print(f"progress tasks={len(checkpoint.done)}/{checkpoint.total} budget exhausted",
               file=checkpoint.log)

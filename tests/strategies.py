@@ -91,6 +91,22 @@ def circulant_digraphs(draw, max_n=30):
     return Digraph(n, [sorted({(v + s) % n for s in steps}) for v in range(n)])
 
 
+@st.composite
+def two_in_two_out_digraphs(draw, max_n=30):
+    """Random digraphs in which every vertex has 2 out- and 2 in-neighbours.
+
+    v's row is {p(v), p(c(v))} for a permutation p and a cyclic
+    permutation c of all n >= 2 vertices, so each p(u) is reached from u
+    and from the one vertex that c sends to u; loops are allowed.
+    """
+    n = draw(st.integers(2, max_n))
+    p, cycle = draw(permutations(n)), draw(permutations(n))
+    c = [0] * n
+    for i, u in enumerate(cycle):
+        c[u] = cycle[i - 1]
+    return Digraph(n, [(p[v], p[c[v]]) for v in range(n)])
+
+
 def two_out_digraph(n, seed):
     """A seeded random digraph in which every vertex has 2 out-neighbours.
 

@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -16,3 +17,40 @@ def test_an_unwritable_out_path_fails_before_any_run(tmp_path):
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write --out ")
     assert not out.parent.exists()
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verdicts_on_synthetic_pairs():
+    tool = _tool()
+    parent = [2.00, 2.02, 2.04, 2.06, 2.08, 2.10, 2.12, 2.14, 2.16, 2.18]  # median 2.09, IQR 0.09
+
+    def entry(change):
+        wins = sum(c < p for p, c in zip(parent, change))
+        return {"parent": tool._summary(parent), "change": tool._summary(change),
+                "change_better_pairs": wins, "pairs": len(parent)}
+
+    down = [p - 0.2 for p in parent]
+    pairs = {
+        "all_ten": entry(down),
+        "nine": entry(down[:9] + [parent[9] + 0.01]),
+        "eight": entry(down[:8] + [p + 0.01 for p in parent[8:]]),
+        "inside_the_iqr": entry([p - 0.05 for p in parent]),
+        "worse": entry([p * 1.2 for p in parent]),
+        "worse_within_the_bound": entry([p * 1.1 for p in parent]),
+    }
+    verdicts = {w: tool._verdict(e, "lower", 0.15) for w, e in pairs.items()}
+    assert verdicts == {"all_ten": "gain", "nine": "gain", "eight": "held",
+                        "inside_the_iqr": "held", "worse": "worse",
+                        "worse_within_the_bound": "held"}
+    # a metric without a bound is never worse
+    assert tool._verdict(pairs["worse"], "lower", None) == "held"
+    # for a metric where higher is better the same runs read the other way
+    assert tool._verdict(dict(entry([p * 0.8 for p in parent]), change_better_pairs=0),
+                         "higher", 0.15) == "worse"
+    assert tool._verdict(dict(pairs["worse"], change_better_pairs=10), "higher", 0.15) == "gain"

@@ -5,7 +5,7 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import geodex.canon as canon_module
 from geodex import (
@@ -31,7 +31,9 @@ from strategies import (
     circulant_digraphs,
     digraphs,
     partitioned_digraphs,
+    permutations,
     symmetric_digraphs,
+    two_in_two_out_digraphs,
     two_out_digraph,
 )
 
@@ -424,6 +426,37 @@ class TestRefine:
     def test_one_cell_round_on_random_digraphs(self, g):
         cells = [list(range(g.n))]
         assert canon_module._refine(g, cells) == _tree_refine(g, cells)
+
+    @given(st.one_of(circulant_digraphs(), two_in_two_out_digraphs()), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_degree_regular_cell_comes_back_unsplit(self, g, data):
+        cell = data.draw(permutations(g.n))
+        assert canon_module._refine(g, [cell]) == [cell] == _tree_refine(g, [cell])
+
+    @given(st.one_of(circulant_digraphs(), two_in_two_out_digraphs()), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_cell_with_one_moved_arc_splits(self, g, data):
+        # moving an arc's head leaves the out-degrees regular and moving its
+        # tail the in-degrees, so a round that looked at one side alone
+        # would take either digraph for a regular one
+        arcs = list(g.arcs())
+        assume(arcs and g.n > 2)
+        v, w = data.draw(st.sampled_from(arcs))
+        rows = [list(row) for row in g.out]
+        rows[v].remove(w)
+        if data.draw(st.booleans()):
+            to = [u for u in range(g.n) if u != w and u not in rows[v]]
+            assume(to)
+            rows[v].append(data.draw(st.sampled_from(to)))
+        else:
+            to = [u for u in range(g.n) if u != v and w not in rows[u]]
+            assume(to)
+            rows[data.draw(st.sampled_from(to))].append(w)
+        h = Digraph(g.n, rows)
+        cells = [list(range(g.n))]
+        refined = canon_module._refine(h, cells)
+        assert len(refined) > 1
+        assert refined == _tree_refine(h, cells)
 
 
 def twice_through_one_memo(g):

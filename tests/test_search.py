@@ -1,10 +1,13 @@
 import concurrent.futures
 import hashlib
+import importlib
 import inspect
 import json
 import multiprocessing
 import os
+import pickle
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,7 +25,7 @@ from geodex import (
 )
 from geodex.catalog import MAX_ORDER
 from geodex.reach import layers
-from geodex.search import _Engine
+from geodex.search import SPLIT_SLOTS, _Engine
 from oracles import bfs_distances, naive_diregular_search, outlier_counts, partial_cut_oracle
 
 P222 = SearchParams(d=2, k=2, epsilon=2, diregular=True)
@@ -359,6 +362,74 @@ class TestVerifyOnce:
             p.d, p.k, p.epsilon + 1, p.diregular)))
         with pytest.raises(RuntimeError, match="internal error"):
             search(P222)
+
+
+def _assert_same_digraph(built, ref):
+    assert built == ref and hash(built) == hash(ref)
+    assert (built.n, built.out, built.in_lists) == (ref.n, ref.out, ref.in_lists)
+    copy = pickle.loads(pickle.dumps(built))
+    assert copy == ref and (copy.n, copy.out, copy.in_lists) == (ref.n, ref.out, ref.in_lists)
+
+
+class _LeafCheck(_Engine):
+    """The engine with every leaf and task it builds from its masks checked against Digraph()."""
+
+    def __init__(self, params, pruning, start, budget):
+        super().__init__(params, pruning, start, budget)
+        self.leaves = 0
+
+    def _emit(self):
+        _assert_same_digraph(self._digraph(), Digraph(self.n, self._rows()))
+        self.leaves += 1
+        super()._emit()
+
+
+class TestMaskBuiltDigraph:
+    """Leaves and tasks are built from the engine's masks with no check; Digraph() is the reference."""
+
+    @given(st.integers(0, 12).flatmap(
+        lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    def test_any_bitset_rows(self, masks):
+        # loops included: the masks need only be in range
+        n = len(masks)
+        ins = [sum(1 << v for v, m in enumerate(masks) if m >> w & 1) for w in range(n)]
+        engine = SimpleNamespace(n=n, out_mask=masks, in_mask=ins)
+        ref = Digraph(n, [[w for w in range(n) if m >> w & 1] for m in masks])
+        _assert_same_digraph(_Engine._digraph(engine), ref)
+        assert _Engine._rows(engine) == list(ref.out)
+
+    @pytest.mark.parametrize("params,leaves", [
+        pytest.param(SearchParams(2, 2, 3, True), 344, id="2,2,+3"),
+        pytest.param(SearchParams(2, 2, 3, False), 10580, id="2,2,+3-out-regular"),
+    ])
+    def test_every_leaf_and_task(self, params, leaves):
+        split = _LeafCheck(params, "full", seed_tree(params), budget=None)
+        split.run(split_at=SPLIT_SLOTS)
+        forms = set(split.results)
+        for task in split.tasks:
+            _assert_same_digraph(task, Digraph(task.n, task.out))
+            engine = _LeafCheck(params, "full", task, budget=None)
+            engine.run()
+            split.leaves += engine.leaves
+            forms |= engine.results.keys()
+        assert split.leaves == leaves
+        assert forms == {r.form.data for r in search(params).results}
+
+
+class TestRowMemo:
+    def test_emptied_by_split_tasks_and_by_search(self):
+        decoded = importlib.import_module("geodex.search")._decoded
+        stale = 1 << MAX_ORDER
+        decoded[stale] = ()
+        tasks, _ = split_tasks(P222)
+        assert stale not in decoded
+        # the split's tasks went through the memo, each mask to its members
+        assert {row for task in tasks for row in task.out} <= set(decoded.values())
+        assert all(row == tuple(w for w in range(mask.bit_length()) if mask >> w & 1)
+                   for mask, row in decoded.items())
+        decoded[stale] = ()
+        assert len(search(P222).results) == 2
+        assert decoded == {}
 
 
 def _state(engine):

@@ -11,9 +11,9 @@ output.  Pair i uses seed i and runs the parent first when i is odd and
 the change first when it is even; within a pair the workloads are
 interleaved, each one's two runs back to back.  The output holds, per
 workload and end-to-end metric of BENCHMARK.json (plus the unscaled
-wall time), every run, the medians and quartiles of each side and the
-number of pairs in which the change was better; per workload, each
-run's deterministic counters (run.py's ``counters`` line), whether the
+wall time), every run, the medians and quartiles of each side, the
+number of pairs in which the change was better and a verdict (see
+_verdict); per workload, each run's deterministic counters (run.py's ``counters`` line), whether the
 two sides' counters agreed in every pair and the keys that differed;
 then a summary of the runs' checks.  The exit status is 1 when a run
 was incorrect or had a failed operation; counters that differ do not
@@ -93,6 +93,25 @@ def _summary(runs: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _verdict(entry: dict, better: str, bound: float | None) -> str:
+    """"gain", "worse" or "held" for one workload's pairs of one metric.
+
+    "gain" when the change won at least 9 in 10 of the pairs and its
+    median beats the parent's by more than the parent's interquartile
+    range; "worse" when its median is worse than the parent's by more than
+    the metric's bound, a fraction of the parent's median (none for the
+    unscaled wall time, which BENCHMARK.json does not bound); else "held".
+    """
+    sign = 1 if better == "lower" else -1
+    parent, change = entry["parent"], entry["change"]
+    ahead = sign * (parent["median"] - change["median"])
+    if 10 * entry["change_better_pairs"] >= 9 * entry["pairs"] and ahead > parent["q3"] - parent["q1"]:
+        return "gain"
+    if bound is not None and -ahead > bound * parent["median"]:
+        return "worse"
+    return "held"
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(prog="tools/bench_pairs.py", description=__doc__.splitlines()[0])
     p.add_argument("parent", help="git revision measured as the parent")
@@ -122,6 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     better[UNSCALED] = "lower"
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": _git("rev-parse", "--short", args.parent),
              "change": _git("rev-parse", "--short", args.change)}
 
@@ -153,9 +173,11 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             wins = sum((c < q) if better[name] == "lower" else (c > q)
                        for q, c in zip(parent, change))
-            pairs[w][name] = {"parent": _summary(parent), "change": _summary(change),
-                              "change_better_pairs": wins, "pairs": args.pairs,
-                              "parent_runs": parent, "change_runs": change}
+            entry = {"parent": _summary(parent), "change": _summary(change),
+                     "change_better_pairs": wins, "pairs": args.pairs,
+                     "parent_runs": parent, "change_runs": change}
+            entry["verdict"] = _verdict(entry, better[name], bounds.get(name))
+            pairs[w][name] = entry
     counters = {}
     for w in workloads:
         parent, change = counted[w]["parent"], counted[w]["change"]
