@@ -15,7 +15,7 @@ from itertools import accumulate
 from operator import or_
 from typing import Iterable
 
-from .reach import geodetic_ball, layers, reach
+from .reach import geodetic_balls, layers, reach
 
 
 def moore_bound(d: int, k: int) -> int:
@@ -198,8 +198,9 @@ def find_geodetic_violation(g: Digraph, k: int) -> GeodeticViolation | None:
         raise ValueError(f"geodecity parameter must be at least 1, got {k}")
     masks = _masks(g.out)
     for u in range(g.n):
-        if not geodetic_ball(masks, u, min(k, 2 * g.n)):
-            # some target has two walks, so this branch returns: one build per call
+        if not geodetic_balls(masks, u, min(k, 2 * g.n)):
+            # no balls: some target has two walks, so this branch returns,
+            # one build per call
             in_masks = _masks(g.in_lists)
             for v in range(g.n):
                 walks = _first_two_walks(g, in_masks, u, v, k)

@@ -65,10 +65,3 @@ def reach(masks: list[int], u: int, r: int) -> int:
     for layer in layers(masks, u, r):
         acc |= layer
     return acc
-
-
-def geodetic_ball(masks: list[int], u: int, k: int) -> int:
-    """The k-ball of u, or 0 when two walks of length <= k from u end at
-    one vertex or one returns to u."""
-    balls = geodetic_balls(masks, u, k)
-    return balls[-1] if balls else 0

@@ -136,8 +136,9 @@ class _Engine:
     for each decided arc v -> w and in_mask[w] bit v.  An out-list is full
     when its mask has d bits, and since it grows in increasing order its
     next target is at least the mask's bit_length().  max_used is the
-    highest vertex in use, and in_full has bit w once w's in-degree
-    reaches d, so diregular mode offers w no more arcs.  balls[s] holds
+    highest vertex in use.  In diregular mode in_full has bit w once w's
+    in-degree reaches d, so w is offered no more arcs; in out-regular mode,
+    where in-degrees are free, it stays empty.  balls[s] holds
     the k-ball of s as of the last filled row: the arcs out of a vertex
     whose row is still open live in its frame's pending sets instead (see
     _frame).  shut[u] counts the finished balls that miss u, and stays
@@ -166,7 +167,8 @@ class _Engine:
         self.n = n = params.order
         self.d = params.d
         self.k = params.k
-        self.diregular = params.diregular
+        # no in-degree reaches n, so in_full stays empty in out-regular mode
+        self.full_in = self.d if params.diregular else n
         self.mult_mode = pruning == "full" and params.diregular
         self.budget = budget
         if start.n != n:
@@ -201,15 +203,15 @@ class _Engine:
         first frame from the balls.  Mid-row this installs what _grow
         returns, which finishes no ball and so cannot cut: every source
         it grows lies within k-1 steps of v, whose row is open.  An arc
-        into a vertex of in-degree d is refused in diregular mode, as
-        the DFS never offers one.
+        into a vertex of in_full, one of in-degree d in diregular mode, is
+        refused, as the DFS never offers one.
         Stopping at the first cut gives the verdict of the whole partial:
         arcs only ever break geodecity and raise in-degrees, and a ball
         reaches full size only on an arc that fills a row, which is when
         the multiplicity cut runs.
         """
         for v, w in self.start.arcs():
-            if self.diregular and self.in_full >> w & 1:
+            if self.in_full >> w & 1:
                 return False
             frame = self._frame(v)
             ahead = self._check(v, w, frame)
@@ -298,7 +300,7 @@ class _Engine:
             self.balls, self.shut = grown
         out_mask[v] |= 1 << w
         in_mask[w] |= 1 << v
-        if in_mask[w].bit_count() >= self.d:
+        if in_mask[w].bit_count() >= self.full_in:
             self.in_full |= 1 << w
         if self.max_used < w:
             self.max_used = w
@@ -339,15 +341,10 @@ class _Engine:
 
     # ---- generation ----
 
-    def _next_open(self, hint: int) -> int | None:
-        v = hint
+    def _next_open(self, v: int) -> int | None:
         while v < self.n and self.out_mask[v].bit_count() == self.d:
             v += 1
         return v if v < self.n else None
-
-    def _rows(self) -> list[tuple[int, ...]]:
-        """The decided out-lists, decoded from out_mask through the row memo."""
-        return list(map(_decoded.__getitem__, self.out_mask))
 
     def _digraph(self) -> Digraph:
         """The partial as a Digraph, its rows and in-lists decoded from the masks.
@@ -379,17 +376,23 @@ class _Engine:
         walked, the live and barred candidates not yet passed, the balls,
         shut, max_used and in_full it opened with, v's frame, and the
         bound below which an arc's child may be counted in this frame.
+        Its w is -1 until it lands its first arc and is set at every
+        landing after that, so whenever the walk comes back to a frame
+        with w >= 0, that arc is landed and is taken back first.  The
+        next open vertex is looked up from the vertex of the frame that
+        just landed an arc, since every row below it is full.
         The candidates are the targets from v's next slot up to one past
-        the highest vertex in use, without v and, in diregular mode,
-        without the vertices in in_full; none of this moves while the
-        frame is open, so one bitmask per frame holds them.  Those in the
-        frame's union U are barred, since _check would cut them on its
-        first test, and the rest are live.  A frame for the vertex whose
-        row its parent left open is derived from the parent's frame and
-        the sets _check returned: each U_t and P_t gains the set of layer
-        t, and U gains the largest.  Any other frame is built by _frame
-        from the stored balls, which the last filled row brought up to
-        date.  A frame with no live candidate is counted by one popcount
+        the highest vertex in use, without v and without the vertices in
+        in_full, which is empty in out-regular mode; none of this moves
+        while the frame is open, so one bitmask per frame holds them.
+        Those in the frame's union U are barred, since _check would cut
+        them on its first test, and the rest are live.  A frame for the
+        vertex whose row its parent left open is derived from the
+        parent's frame and the sets _check returned: each U_t and P_t
+        gains the set of layer t, and U gains the largest.  Any other
+        frame is built by _frame from the stored balls, which the last
+        filled row brought up to date.
+        A frame with no live candidate is counted by one popcount
         and never pushed.  Live candidates are tested by _check in
         increasing order; the barred ones below each, and those left when
         the frame ends, are counted by one popcount.  A kept arc that
@@ -412,18 +415,16 @@ class _Engine:
         returns there, with its arcs still landed, and run() marks it
         stopped.
         """
-        n, d, diregular, budget = self.n, self.d, self.diregular, self.budget
+        n, d, budget = self.n, self.d, self.budget
         out_mask, in_mask = self.out_mask, self.in_mask
         check, land = self._check, self._land
         counting = self.split_at is None
         stack: list[list] = []
-        hint = 0
-        ahead: list[int] = []
+        v = 0
         while True:
             if budget is not None and self.nodes > budget:
                 return
-            v = self._next_open(hint)
-            back = True  # whether the top frame has an arc to take back
+            v = self._next_open(v)
             if v is None:
                 self._emit()
             elif len(stack) == self.split_at:
@@ -433,9 +434,7 @@ class _Engine:
                 hi = self.max_used if self.max_used > v else v
                 if hi < n - 1:
                     hi += 1
-                cands = ((2 << hi) - (1 << lo)) & ~(1 << v)
-                if diregular:
-                    cands &= ~self.in_full
+                cands = ((2 << hi) - (1 << lo)) & ~(1 << v) & ~self.in_full
                 if stack and stack[-1][0] == v:
                     found, unions, union, pending = stack[-1][5]
                     union |= ahead[0]
@@ -454,13 +453,12 @@ class _Engine:
                     stack.append([v, -1, live, cands & union,
                                   (self.balls, self.shut, self.max_used, self.in_full),
                                   frame, last])
-                    back = False
                 else:
                     self.nodes += cands.bit_count()
             while stack:
                 top = stack[-1]
                 v, w, live, barred, saved, frame, last = top
-                if back:
+                if w >= 0:
                     out_mask[v] ^= 1 << w
                     in_mask[w] ^= 1 << v
                     self.balls, self.shut, self.max_used, self.in_full = saved
@@ -482,10 +480,8 @@ class _Engine:
                 else:
                     self.nodes += barred.bit_count()
                     stack.pop()
-                    back = True
                     continue
                 top[1:4] = w, live, barred
-                hint = v
                 break
             else:
                 return

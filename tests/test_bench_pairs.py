@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +55,15 @@ def test_verdicts_on_synthetic_pairs():
     assert tool._verdict(dict(entry([p * 0.8 for p in parent]), change_better_pairs=0),
                          "higher", 0.15) == "worse"
     assert tool._verdict(dict(pairs["worse"], change_better_pairs=10), "higher", 0.15) == "gain"
+
+
+def test_host_counts_the_cpus_this_process_may_use(monkeypatch):
+    tool = _tool()
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
+    host = tool._host()
+    assert (host["cores"], host["usable_cpus"]) == (4, 2)
+    assert set(host) == {"cores", "usable_cpus", "machine", "python"}
+    # without an affinity call every CPU counts as usable
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert tool._host()["usable_cpus"] == 4

@@ -15,7 +15,7 @@ from geodex import (
     outlier_set,
     verify,
 )
-from geodex.reach import geodetic_ball, geodetic_balls
+from geodex.reach import geodetic_balls
 from oracles import bfs_distances, first_violation_oracle, geodetic_oracle, walks_from
 from strategies import digraphs
 
@@ -92,6 +92,21 @@ class TestDigraph:
         assert Digraph(3, [(1,), (2,), (0,)]) == THREE_CYCLE
         assert hash(Digraph(3, [(1,), (2,), (0,)])) == hash(THREE_CYCLE)
         assert THREE_CYCLE != K3
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="order must be non-negative, got -1"):
+            Digraph(-1, [])
+
+    def test_rejects_wrong_number_of_out_lists(self):
+        with pytest.raises(ValueError, match="expected 3 out-lists, got 2"):
+            Digraph(3, [(), ()])
+
+    def test_never_equals_another_type(self):
+        assert THREE_CYCLE.__eq__(5) is NotImplemented
+        assert (THREE_CYCLE == 5) is False
+
+    def test_repr(self):
+        assert repr(K3) == "Digraph(n=3, arcs=6)"
 
 
 class TestDistanceLayers:
@@ -202,8 +217,9 @@ class TestGeodetic:
         n = g.n
         k = data.draw(st.integers(2 * n + 1, 4 * n))
         masks = [sum(1 << w for w in targets) for targets in g.out]
-        balls = [geodetic_ball(masks, u, k) for u in range(n)]
-        assert balls == [geodetic_ball(masks, u, 2 * n) for u in range(n)]
+        # each source's k-ball as a one-item list, or [] when it fails
+        balls = [geodetic_balls(masks, u, k)[-1:] for u in range(n)]
+        assert balls == [geodetic_balls(masks, u, 2 * n)[-1:] for u in range(n)]
         # so the witness comes from the first source whose k-ball fails
         v = find_geodetic_violation(g, k)
         assert (None if v is None else v.source) == next((u for u, b in enumerate(balls) if not b), None)
@@ -213,13 +229,33 @@ class TestGeodetic:
         masks = [sum(1 << w for w in targets) for targets in g.out]
         for u in range(g.n):
             ends = [walk[-1] for walk in walks_from(g, u, k)]
-            inside = sum(1 << v for v, dv in bfs_distances(g, u).items() if dv <= k)
-            expected = inside if len(ends) == len(set(ends)) else 0
-            assert geodetic_ball(masks, u, k) == expected
-            # the prefix balls of radius 0..k, or none at all
+            # the balls of radius 0..k while no two walks end alike, else none at all
             radii = [sum(1 << v for v, dv in bfs_distances(g, u).items() if dv <= r)
                      for r in range(k + 1)]
-            assert geodetic_balls(masks, u, k) == (radii if expected else [])
+            assert geodetic_balls(masks, u, k) == (radii if len(ends) == len(set(ends)) else [])
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call", [distance_layer, ball, outlier_set], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("u", [-1, 3])
+    def test_vertex_out_of_range(self, call, u):
+        with pytest.raises(ValueError, match=f"vertex {u} out of range 0..2"):
+            call(THREE_CYCLE, u, 1)
+
+    @pytest.mark.parametrize("call,message", [
+        (distance_layer, "layer depth"), (ball, "radius"), (outlier_set, "depth"),
+    ], ids=["distance_layer", "ball", "outlier_set"])
+    def test_negative_depth(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message} must be non-negative, got -1$"):
+            call(THREE_CYCLE, 0, -1)
+
+    def test_outlier_multiplicity_negative_depth(self):
+        with pytest.raises(ValueError, match="^depth must be non-negative, got -1$"):
+            outlier_multiplicity(THREE_CYCLE, -1)
+
+    def test_is_diregular_negative_degree(self):
+        with pytest.raises(ValueError, match="^degree must be non-negative, got -1$"):
+            is_diregular(THREE_CYCLE, -1)
 
 
 class TestOutliers:

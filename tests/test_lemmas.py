@@ -37,6 +37,10 @@ class TestCommonOutPairs:
     def test_three_cycle_disjoint_neighbourhoods(self):
         assert common_out_pairs(THREE_CYCLE, 1) == []
 
+    def test_rejects_negative_count(self, cat_b):
+        with pytest.raises(ValueError, match="^common-neighbour count must be non-negative, got -1$"):
+            common_out_pairs(cat_b, -1)
+
     def test_counts_recorded(self, cat_b):
         for p in common_out_pairs(cat_b, 2):
             assert p.common_out == 2

@@ -24,6 +24,7 @@ from geodex import (
     verify,
 )
 from geodex.catalog import MAX_ORDER
+from geodex.core import _members
 from geodex.reach import layers
 from geodex.search import SPLIT_SLOTS, _Engine
 from oracles import bfs_distances, naive_diregular_search, outlier_counts, partial_cut_oracle
@@ -379,7 +380,7 @@ class _LeafCheck(_Engine):
         self.leaves = 0
 
     def _emit(self):
-        _assert_same_digraph(self._digraph(), Digraph(self.n, self._rows()))
+        _assert_same_digraph(self._digraph(), Digraph(self.n, [_members(m, self.n) for m in self.out_mask]))
         self.leaves += 1
         super()._emit()
 
@@ -396,7 +397,6 @@ class TestMaskBuiltDigraph:
         engine = SimpleNamespace(n=n, out_mask=masks, in_mask=ins)
         ref = Digraph(n, [[w for w in range(n) if m >> w & 1] for m in masks])
         _assert_same_digraph(_Engine._digraph(engine), ref)
-        assert _Engine._rows(engine) == list(ref.out)
 
     @pytest.mark.parametrize("params,leaves", [
         pytest.param(SearchParams(2, 2, 3, True), 344, id="2,2,+3"),
@@ -747,7 +747,8 @@ class _AuditedEngine(_Engine):
     frame restored all it changed for the children before, _check changed
     nothing, and neither did a _land that cut, which the audit asserts
     right after it returns.  in_full must hold exactly the vertices of
-    in-degree d or more.  A frame must then be v's frame as _frame
+    in-degree d or more in diregular mode, and none in out-regular mode,
+    as shut holds zeros outside full diregular mode.  A frame must then be v's frame as _frame
     builds it from the BFS k-balls, whether _frame built it or _dfs
     derived it from its parent, and the stored balls OR its pending sets
     must be those k-balls.
@@ -792,7 +793,7 @@ class _AuditedEngine(_Engine):
         self.cuts = 0  # fills cut by the multiplicity cut
 
     def _fresh_balls(self):
-        g = Digraph(self.n, self._rows())
+        g = Digraph(self.n, [_members(m, self.n) for m in self.out_mask])
         return [sum(1 << x for x, t in bfs_distances(g, u).items() if t <= self.k)
                 for u in range(self.n)]
 
@@ -801,8 +802,8 @@ class _AuditedEngine(_Engine):
         assert self.shut == (counts if self.mult_mode else [0] * self.n)
 
     def _check_in_full(self):
-        assert self.in_full == sum(1 << w for w in range(self.n)
-                                   if self.in_mask[w].bit_count() >= self.d)
+        full = sum(1 << w for w in range(self.n) if self.in_mask[w].bit_count() >= self.d)
+        assert self.in_full == (full if self.params.diregular else 0)
 
     def _list(self, rows, v):
         """v's candidates in the partial with out-lists rows, each with whether it is barred."""
@@ -816,7 +817,7 @@ class _AuditedEngine(_Engine):
         hi = min(self.n - 1, max(used, v) + 1)
         todo = []
         for w in range(rows[v][-1] + 1 if rows[v] else 0, hi + 1):
-            if w == v or self.diregular and len(g.in_lists[w]) >= self.d:
+            if w == v or self.params.diregular and len(g.in_lists[w]) >= self.d:
                 continue
             barred = bool(union >> w & 1)
             if barred:
@@ -826,12 +827,13 @@ class _AuditedEngine(_Engine):
             todo.append((w, barred))
         return todo
 
-    def _next_open(self, hint):
-        v = super()._next_open(hint)
+    def _next_open(self, v):
+        v = super()._next_open(v)
         if self.walking and v is not None:
             assert self.split_at is None
             self._check_in_full()
-            self.listed.append(((v, self.out_mask[v].bit_count()), self._list(self._rows(), v)))
+            rows = [_members(m, self.n) for m in self.out_mask]
+            self.listed.append(((v, self.out_mask[v].bit_count()), self._list(rows, v)))
         return v
 
     def _pass_barred(self, todo):
@@ -881,7 +883,7 @@ class _AuditedEngine(_Engine):
             self.checked += 1
         ahead = super()._check(v, w, frame)
         assert _state(self) == state
-        rows = self._rows()
+        rows = list(self._digraph().out)
         rows[v] += (w,)
         assert bool(ahead) == (not _oracle_cuts(Digraph(self.n, rows), self.params, "basic"))
         if ahead and self.walking:
@@ -902,7 +904,7 @@ class _AuditedEngine(_Engine):
             assert self.due == (v, w)
             self.due = None
             assert self.budget is None or (self.landed[-1] if self.landed else 0) <= self.budget
-        rows = self._rows()
+        rows = list(self._digraph().out)
         rows[v] += (w,)
         kept = super()._land(v, w, ahead, frame)
         assert kept == (not _oracle_cuts(Digraph(self.n, rows), self.params, self.pruning))
@@ -1031,7 +1033,7 @@ class TestIncrementalCheck:
         assume(open_)
         v = data.draw(st.sampled_from(open_))
         frame = engine._frame(v)
-        rows = engine._rows()
+        rows = list(engine._digraph().out)
         hi = min(engine.n - 1, max(engine.max_used, v) + 1)
         before = _state(engine)
         for w in range(engine.out_mask[v].bit_length(), hi + 1):
@@ -1115,7 +1117,7 @@ class _TwinAuditEngine(_Engine):
         self.kept = self.pairs = 0
 
     def _audit(self, v, w):
-        g = Digraph(self.n, [row + (w,) if u == v else row for u, row in enumerate(self._rows())])
+        g = Digraph(self.n, [row + (w,) if u == v else row for u, row in enumerate(self._digraph().out)])
         failed, pairs = _twin_violations(g, self.k)
         assert failed == [], (g.out, failed)
         self.kept += 1

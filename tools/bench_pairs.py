@@ -15,10 +15,10 @@ wall time), every run, the medians and quartiles of each side, the
 number of pairs in which the change was better and a verdict (see
 _verdict); per workload, each run's deterministic counters (run.py's ``counters`` line), whether the
 two sides' counters agreed in every pair and the keys that differed;
-then a summary of the runs' checks.  The exit status is 1 when a run
-was incorrect or had a failed operation; counters that differ do not
-change it, since a pruning change moves node counts on purpose.  An
---out path that cannot be written exits 2 before any run.
+then a summary of the runs' checks, and the host: its CPUs and the
+ones the runs could use.  The exit status is 1 when a run was
+incorrect or had a failed operation; counters that differ do not change
+it, since a pruning change moves node counts on purpose.  An --out path that cannot be written exits 2 before any run.
 Standard library only.
 """
 
@@ -44,6 +44,14 @@ def _git(*args: str) -> str:
     if done.returncode:
         raise SystemExit(f"error: git {' '.join(args)}: {done.stderr.strip()}")
     return done.stdout.strip()
+
+
+def _host() -> dict:
+    """The host the runs share: its CPUs, those this process may run on,
+    which is what search() sizes its pool by, the machine and Python."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"cores": os.cpu_count(), "usable_cpus": usable, "machine": platform.machine(),
+            "python": platform.python_version()}
 
 
 def _run(rev: str, workload: str, seed: int,
@@ -193,8 +201,7 @@ def main(argv: list[str] | None = None) -> int:
              "'counters' holds each run's deterministic counters and whether the two "
              "sides' agreed in every pair.").strip()
     out = {"about": about, "parent_commit": sides["parent"], "change_commit": sides["change"],
-           "host": {"cores": os.cpu_count(), "machine": platform.machine(),
-                    "python": platform.python_version()},
+           "host": _host(),
            "pairs": pairs, "counters": counters, "checks": checks}
     out_path.write_text(json.dumps(out, indent=1) + "\n")
     return 0 if all(c["all_correct"] and not c["failed_ops"] for c in checks.values()) else 1
