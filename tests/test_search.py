@@ -380,7 +380,8 @@ class _LeafCheck(_Engine):
         self.leaves = 0
 
     def _emit(self):
-        _assert_same_digraph(self._digraph(), Digraph(self.n, [_members(m, self.n) for m in self.out_mask]))
+        ref = Digraph(self.n, [_members(m, self.n) for m in self.out_mask])
+        _assert_same_digraph(self._digraph(), ref)
         self.leaves += 1
         super()._emit()
 
@@ -747,11 +748,10 @@ class _AuditedEngine(_Engine):
     frame restored all it changed for the children before, _check changed
     nothing, and neither did a _land that cut, which the audit asserts
     right after it returns.  in_full must hold exactly the vertices of
-    in-degree d or more in diregular mode, and none in out-regular mode,
-    as shut holds zeros outside full diregular mode.  A frame must then be v's frame as _frame
-    builds it from the BFS k-balls, whether _frame built it or _dfs
-    derived it from its parent, and the stored balls OR its pending sets
-    must be those k-balls.
+    in-degree d or more in diregular mode, and none in out-regular mode.
+    A frame must then be v's frame as _frame builds it from the BFS
+    k-balls, whether _frame built it or _dfs derived it from its parent,
+    and the stored balls OR its pending sets must be those k-balls.
     _check's verdict must be the basic oracle's on the state with the arc
     added, and _land's the oracle's in the engine's own mode.  After a
     kept arc the stored balls OR the pending sets grown by what _check

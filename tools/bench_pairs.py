@@ -18,7 +18,8 @@ two sides' counters agreed in every pair and the keys that differed;
 then a summary of the runs' checks, and the host: its CPUs and the
 ones the runs could use.  The exit status is 1 when a run was
 incorrect or had a failed operation; counters that differ do not change
-it, since a pruning change moves node counts on purpose.  An --out path that cannot be written exits 2 before any run.
+it, since a pruning change moves node counts on purpose.  An --out path
+that cannot be written exits 2 before any run.
 Standard library only.
 """
 
