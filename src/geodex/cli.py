@@ -30,7 +30,7 @@ def _load_digraph(path: str):
             return read_digraph(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    except DigraphFormatError as exc:
+    except (DigraphFormatError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

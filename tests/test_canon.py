@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import inspect
 import random
+import sys
 from itertools import combinations
 from unittest import mock
 
@@ -137,6 +139,26 @@ class TestAreIsomorphic:
         assert iso_oracle(g, h)
 
 
+def brute_force_orbits(g):
+    """Union-find over every automorphism, numbered by first appearance."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in automorphisms_oracle(g):
+        for v in range(g.n):
+            a, b = find(v), find(p[v])
+            if a != b:
+                parent[b] = a
+    ids = {}
+    orbit_id = tuple(ids.setdefault(find(v), len(ids)) for v in range(g.n))
+    return OrbitPartition(orbit_id=orbit_id, orbit_count=len(ids))
+
+
 class TestAutomorphismOrbits:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="orbit partition requires at least one vertex"):
@@ -177,28 +199,7 @@ class TestAutomorphismOrbits:
     @given(digraphs(max_n=5))
     @settings(max_examples=100)
     def test_matches_brute_force_orbits(self, g):
-        auts = automorphisms_oracle(g)
-        # union-find over oracle automorphisms
-        parent = list(range(g.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p in auts:
-            for v in range(g.n):
-                a, b = find(v), find(p[v])
-                if a != b:
-                    parent[b] = a
-        expected = len({find(v) for v in range(g.n)})
-        got = automorphism_orbits(g)
-        assert got.orbit_count == expected
-        for u in range(g.n):
-            for v in range(g.n):
-                same_lib = got.orbit_id[u] == got.orbit_id[v]
-                assert same_lib == (find(u) == find(v))
+        assert automorphism_orbits(g) == brute_force_orbits(g)
 
     def test_degree_invariant_within_orbits(self, cat_a, cat_b):
         for g in (cat_a, cat_b):
@@ -363,6 +364,96 @@ class TestMemo:
             assert canonical_form(h, memo) == canonical_form(h)
         for key, form in memo.items():
             assert canonical_form(decode(key)) == form
+
+
+@pytest.fixture()
+def walked(monkeypatch):
+    """The digraphs _best_labelings walks, in call order, from no kept walk."""
+    walked = []
+    real = canon_module._best_labelings
+
+    def counting(g, memo=None):
+        walked.append(g)
+        return real(g, memo)
+
+    monkeypatch.setattr(canon_module, "_best_labelings", counting)
+    monkeypatch.setattr(canon_module, "_last", None)
+    return walked
+
+
+ENTRY_POINTS = {"form": canonical_form, "relabelling": canonical_relabelling,
+                "orbits": automorphism_orbits}
+
+
+class TestLastWalk:
+    """The memo-less calls share the last walk, for one digraph object."""
+
+    def test_form_orbits_and_relabelling_walk_once(self, walked, cat_a):
+        form = canonical_form(cat_a)
+        orbits = automorphism_orbits(cat_a)
+        lab = canonical_relabelling(cat_a)
+        assert walked == [cat_a] and walked[0] is cat_a
+        assert orbits.orbit_id == (0, 0, 1, 0, 1, 2, 2, 2, 1)
+        assert canonical_form(apply_perm(cat_a, lab)) == form
+
+    def test_an_equal_digraph_walks_again(self, walked, cat_a):
+        copy = Digraph(cat_a.n, cat_a.out)
+        assert copy == cat_a and copy is not cat_a
+        expected = canonical_form(cat_a), automorphism_orbits(cat_a), canonical_relabelling(cat_a)
+        assert (canonical_form(copy), automorphism_orbits(copy),
+                canonical_relabelling(copy)) == expected
+        assert list(map(id, walked)) == [id(cat_a), id(copy)]
+
+    def test_a_memo_call_neither_reads_nor_keeps_the_walk(self, walked, cat_a, cat_b):
+        form = canonical_form(cat_a)
+        memo = {}
+        assert canonical_form(cat_a, memo) == form
+        assert canonical_form(cat_a, memo) == form  # a hit: (form, None, [])
+        assert len(walked) == 3
+        assert canonical_form(cat_b, memo) == canonical_form(cat_b)
+        assert len(walked) == 5
+        # the memo calls left cat_b's memo-less walk in place, and after a
+        # memo call on cat_a a memo-less call walks it again
+        automorphism_orbits(cat_b)
+        assert len(walked) == 5
+        assert sorted(canonical_relabelling(cat_a)) == list(range(9))
+        assert automorphism_orbits(cat_a).orbit_count == 3
+        assert len(walked) == 6 and walked[-1] is cat_a
+
+    def test_the_relabelling_is_a_fresh_list(self, walked, cat_b):
+        lab = canonical_relabelling(cat_b)
+        kept = list(lab)
+        lab.reverse()
+        lab[0] = -1
+        assert canonical_relabelling(cat_b) == kept
+        assert canonical_relabelling(cat_b) is not canonical_relabelling(cat_b)
+        assert len(walked) == 1
+
+    def test_a_walk_that_raises_keeps_nothing(self, walked, cat_a):
+        canonical_form(cat_a)
+        deep = Digraph(300, [()] * 300)  # its walk recurses 299 deep
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            with pytest.raises(ValueError, match="needs a deeper walk"):
+                automorphism_orbits(deep)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert canon_module._last[0] is cat_a
+        assert automorphism_orbits(cat_a).orbit_count == 3
+        assert walked == [cat_a, deep]
+        assert automorphism_orbits(deep).orbit_count == 1
+        assert walked == [cat_a, deep, deep]
+
+    @given(st.one_of(digraphs(max_n=5, loops=True), symmetric_digraphs(max_n=5)),
+           st.lists(st.sampled_from(sorted(ENTRY_POINTS)), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_any_call_order_matches_fresh_copies(self, g, order):
+        # each expected value comes from its own new copy, so from its own walk
+        expected = {name: call(Digraph(g.n, g.out)) for name, call in ENTRY_POINTS.items()}
+        assert expected["orbits"] == brute_force_orbits(g)
+        for name in order:
+            assert ENTRY_POINTS[name](g) == expected[name]
 
 
 class TestRefine:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -43,6 +44,20 @@ def b_path(tmp_path, cat_b):
     p = tmp_path / "B.dg"
     p.write_text(write_digraph(cat_b))
     return str(p)
+
+
+@pytest.fixture()
+def latin1_path(tmp_path):
+    # byte 0xff starts no UTF-8 sequence
+    p = tmp_path / "latin1.dg"
+    p.write_bytes(b"\xffn 1\n")
+    return str(p)
+
+
+def not_utf8(path):
+    """The one error line for a file whose first byte is 0xff."""
+    return re.compile(rf"error: {re.escape(path)}: 'utf-8' codec can't decode byte 0xff "
+                      r"in position 0: invalid start byte\n")
 
 
 class TestMoore:
@@ -106,6 +121,11 @@ class TestVerify:
         assert code == 2
         assert err
 
+    def test_file_not_utf8_is_named(self, latin1_path):
+        code, out, err = invoke("verify", latin1_path, "--d", "2", "--k", "2", "--excess", "2")
+        assert (code, out) == (2, "")
+        assert not_utf8(latin1_path).fullmatch(err)
+
 
 class TestCatalog:
     def test_a_round_trips(self, cat_a):
@@ -145,6 +165,11 @@ class TestCanon:
         p = tmp_path / "bad.dg"
         p.write_text("not a digraph\n")
         assert invoke("canon", str(p))[0] == 2
+
+    def test_file_not_utf8_is_named(self, latin1_path):
+        code, out, err = invoke("canon", latin1_path)
+        assert (code, out) == (2, "")
+        assert not_utf8(latin1_path).fullmatch(err)
 
     def test_empty_digraph(self, tmp_path):
         p = tmp_path / "empty.dg"
@@ -192,6 +217,11 @@ class TestIso:
         code, out, _ = invoke("iso", a_path, b_path)
         assert code == 1
         assert out.strip() == "non-isomorphic"
+
+    def test_second_file_not_utf8_is_named(self, a_path, latin1_path):
+        code, out, err = invoke("iso", a_path, latin1_path)
+        assert (code, out) == (2, "")
+        assert not_utf8(latin1_path).fullmatch(err)
 
     def test_relabelled_copy_at_the_order_limit(self, tmp_path):
         g = two_out_digraph(MAX_ORDER, seed=MAX_ORDER)
