@@ -43,10 +43,10 @@ anywhere, so the bytes are stable across runs and processes.
 The calls without a memo (canonical_form, canonical_relabelling and
 automorphism_orbits) keep the last walk they made, for one digraph
 object, so the form and then the orbits of one digraph cost one walk.
-On the benchmark's verify_corpus workload, which asks for both on each of
-126 digraphs, that took the operation from 0.105 s to about 0.076 s.  A
-call with a memo, as every search leaf makes, walks as before and leaves
-the kept walk alone.
+On the benchmark's verify_corpus workload, which asks for both for each
+of 126 digraphs, that took the operation from 0.107 s to 0.076 s (medians
+of 10 pairs on a 2-core VM).  A call with a memo, as every search leaf
+makes, walks as before and leaves the kept walk alone.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import random
 import sys
+import threading
 from itertools import combinations
 from unittest import mock
 
@@ -407,18 +408,17 @@ class TestLastWalk:
     def test_a_memo_call_neither_reads_nor_keeps_the_walk(self, walked, cat_a, cat_b):
         form = canonical_form(cat_a)
         memo = {}
-        assert canonical_form(cat_a, memo) == form
-        assert canonical_form(cat_a, memo) == form  # a hit: (form, None, [])
+        assert canonical_form(cat_a, memo) == form  # walks, though cat_a's walk is kept
+        assert canonical_form(cat_a, memo) == form  # a hit, with no labeling or automorphism
         assert len(walked) == 3
-        assert canonical_form(cat_b, memo) == canonical_form(cat_b)
-        assert len(walked) == 5
-        # the memo calls left cat_b's memo-less walk in place, and after a
-        # memo call on cat_a a memo-less call walks it again
-        automorphism_orbits(cat_b)
-        assert len(walked) == 5
-        assert sorted(canonical_relabelling(cat_a)) == list(range(9))
+        # cat_a's memo-less walk is still the kept one
         assert automorphism_orbits(cat_a).orbit_count == 3
-        assert len(walked) == 6 and walked[-1] is cat_a
+        assert sorted(canonical_relabelling(cat_a)) == list(range(9))
+        assert len(walked) == 3
+        # a memo call keeps nothing, so the memo-less calls on cat_b walk
+        canonical_form(cat_b, memo)
+        assert automorphism_orbits(cat_b).orbit_count == 3
+        assert len(walked) == 5 and walked[-1] is cat_b
 
     def test_the_relabelling_is_a_fresh_list(self, walked, cat_b):
         lab = canonical_relabelling(cat_b)
@@ -444,6 +444,35 @@ class TestLastWalk:
         assert walked == [cat_a, deep]
         assert automorphism_orbits(deep).orbit_count == 1
         assert walked == [cat_a, deep, deep]
+
+    def test_threads_get_their_own_digraphs_walks(self, cat_a, cat_b):
+        # more threads than cores, switching every microsecond, so the kept
+        # walk changes hands between one thread's calls; each call must
+        # still answer for its own digraph
+        rng = random.Random(5)
+        gs = [cat_a, cat_b, shuffled(rng, cat_a), shuffled(rng, cat_b)]
+        expected = [tuple(call(Digraph(g.n, g.out)) for call in ENTRY_POINTS.values())
+                    for g in gs]
+        wrong = []
+
+        def calls(g, want):
+            for _ in range(100):
+                got = tuple(call(g) for call in ENTRY_POINTS.values())
+                if got != want:
+                    wrong.append((g, got))
+
+        threads = [threading.Thread(target=calls, args=case) for case in zip(gs, expected)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
     @given(st.one_of(digraphs(max_n=5, loops=True), symmetric_digraphs(max_n=5)),
            st.lists(st.sampled_from(sorted(ENTRY_POINTS)), min_size=1, max_size=6))
