@@ -231,7 +231,8 @@ def run(argv: list[str], out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Digraph, SearchParams, moore_bound, outlier_set, verify
+from .core import Digraph, SearchParams, _check_vertex, moore_bound, outlier_set, verify
 
 
 @dataclass(frozen=True)
@@ -154,6 +154,8 @@ def classify_pair(g: Digraph, u: int, v: int, k: int) -> PairClass:
     """
     if k != 2:
         raise ValueError(f"precondition failed: classification is defined for k = 2, got k = {k}")
+    _check_vertex(g, u)
+    _check_vertex(g, v)
     if u == v:
         raise ValueError("precondition failed: need two distinct vertices")
     reason = _not_excess_2(g, k)

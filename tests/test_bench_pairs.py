@@ -20,6 +20,20 @@ def test_an_unwritable_out_path_fails_before_any_run(tmp_path):
     assert not out.parent.exists()
 
 
+
+def test_an_unknown_workload_fails_before_any_run(tmp_path):
+    # a typo would otherwise cost every run of that name and leave its pairs empty
+    out = tmp_path / "bench.json"
+    r = subprocess.run([sys.executable, str(TOOL), "HEAD", "HEAD", "--pairs", "1",
+                        "--seconds", "1", "--workloads", "verify_corpus,nope",
+                        "--out", str(out)],
+                       capture_output=True, text=True, timeout=10)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unknown --workloads nope;")
+    assert not out.exists()
+
 def _tool():
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     module = importlib.util.module_from_spec(spec)

@@ -378,7 +378,7 @@ def walked(monkeypatch):
         return real(g, memo)
 
     monkeypatch.setattr(canon_module, "_best_labelings", counting)
-    monkeypatch.setattr(canon_module, "_last", None)
+    canon_module._walked.cache_clear()
     return walked
 
 
@@ -386,8 +386,20 @@ ENTRY_POINTS = {"form": canonical_form, "relabelling": canonical_relabelling,
                 "orbits": automorphism_orbits}
 
 
+def fresh_answers(g):
+    """Each entry point's answer for g, each from a walk of its own."""
+    answers = []
+    for call in ENTRY_POINTS.values():
+        canon_module._walked.cache_clear()
+        answers.append(call(g))
+    return tuple(answers)
+
+
 class TestLastWalk:
-    """The memo-less calls share the last walk, for one digraph object."""
+    """The memo-less calls share the last walk, for g or an equal digraph."""
+
+    def test_one_entry_is_kept(self):
+        assert canon_module._walked.cache_info().maxsize == 1
 
     def test_form_orbits_and_relabelling_walk_once(self, walked, cat_a):
         form = canonical_form(cat_a)
@@ -397,13 +409,14 @@ class TestLastWalk:
         assert orbits.orbit_id == (0, 0, 1, 0, 1, 2, 2, 2, 1)
         assert canonical_form(apply_perm(cat_a, lab)) == form
 
-    def test_an_equal_digraph_walks_again(self, walked, cat_a):
+    def test_an_equal_digraph_gets_equal_results_without_a_walk(self, walked, cat_a):
         copy = Digraph(cat_a.n, cat_a.out)
         assert copy == cat_a and copy is not cat_a
         expected = canonical_form(cat_a), automorphism_orbits(cat_a), canonical_relabelling(cat_a)
         assert (canonical_form(copy), automorphism_orbits(copy),
                 canonical_relabelling(copy)) == expected
-        assert list(map(id, walked)) == [id(cat_a), id(copy)]
+        assert are_isomorphic(cat_a, copy)
+        assert walked == [cat_a] and walked[0] is cat_a
 
     def test_a_memo_call_neither_reads_nor_keeps_the_walk(self, walked, cat_a, cat_b):
         form = canonical_form(cat_a)
@@ -431,7 +444,7 @@ class TestLastWalk:
 
     def test_a_walk_that_raises_keeps_nothing(self, walked, cat_a):
         canonical_form(cat_a)
-        deep = Digraph(300, [()] * 300)  # its walk recurses 299 deep
+        deep = Digraph(150, [()] * 150)  # its walk recurses 149 deep
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 100)
         try:
@@ -439,7 +452,6 @@ class TestLastWalk:
                 automorphism_orbits(deep)
         finally:
             sys.setrecursionlimit(limit)
-        assert canon_module._last[0] is cat_a
         assert automorphism_orbits(cat_a).orbit_count == 3
         assert walked == [cat_a, deep]
         assert automorphism_orbits(deep).orbit_count == 1
@@ -451,8 +463,7 @@ class TestLastWalk:
         # still answer for its own digraph
         rng = random.Random(5)
         gs = [cat_a, cat_b, shuffled(rng, cat_a), shuffled(rng, cat_b)]
-        expected = [tuple(call(Digraph(g.n, g.out)) for call in ENTRY_POINTS.values())
-                    for g in gs]
+        expected = [fresh_answers(g) for g in gs]
         wrong = []
 
         def calls(g, want):
@@ -478,8 +489,7 @@ class TestLastWalk:
            st.lists(st.sampled_from(sorted(ENTRY_POINTS)), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_any_call_order_matches_fresh_copies(self, g, order):
-        # each expected value comes from its own new copy, so from its own walk
-        expected = {name: call(Digraph(g.n, g.out)) for name, call in ENTRY_POINTS.items()}
+        expected = dict(zip(ENTRY_POINTS, fresh_answers(g)))
         assert expected["orbits"] == brute_force_orbits(g)
         for name in order:
             assert ENTRY_POINTS[name](g) == expected[name]

@@ -641,6 +641,19 @@ class TestUsage:
     def test_unknown_flag(self):
         assert invoke("moore", "2", "2", "--frob")[0] == 2
 
+    def test_a_usage_error_goes_to_the_given_err(self, capsys):
+        code, out, err = invoke("moore", "x", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: geodex moore")
+        assert "invalid int value: 'x'" in err
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_goes_to_the_given_out(self, capsys):
+        code, out, err = invoke("--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: geodex")
+        assert capsys.readouterr() == ("", "")
+
 
 class TestProcessLevel:
     def test_canon_hex_stable_across_processes(self, a_path):

@@ -86,6 +86,11 @@ class TestClassifyPair:
         with pytest.raises(ValueError, match="k"):
             classify_pair(cat_a, 0, 7, 3)
 
+    @pytest.mark.parametrize("u, v, bad", [(9, 3, 9), (3, 9, 9), (-1, 3, -1), (3, -1, -1)])
+    def test_rejects_a_vertex_out_of_range(self, cat_a, u, v, bad):
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range 0\.\.8$"):
+            classify_pair(cat_a, u, v, 2)
+
     def test_rejects_same_vertex(self, cat_a):
         with pytest.raises(ValueError):
             classify_pair(cat_a, 0, 0, 2)

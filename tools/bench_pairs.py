@@ -19,7 +19,8 @@ then a summary of the runs' checks, and the host: its CPUs and the
 ones the runs could use.  The exit status is 1 when a run was
 incorrect or had a failed operation; counters that differ do not change
 it, since a pruning change moves node counts on purpose.  An --out path
-that cannot be written exits 2 before any run.
+that cannot be written, or a --workloads name that BENCHMARK.json does
+not list, exits 2 before any run.
 Standard library only.
 """
 
@@ -147,7 +148,13 @@ def main(argv: list[str] | None = None) -> int:
         out_path.unlink()
     os.chdir(ROOT)
     spec = json.loads(Path("BENCHMARK.json").read_text())
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = args.workloads.split(",") if args.workloads else known
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        print(f"error: unknown --workloads {','.join(unknown)}; BENCHMARK.json lists "
+              f"{','.join(known)}", file=sys.stderr)
+        return 2
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     better[UNSCALED] = "lower"
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
