@@ -216,9 +216,11 @@ def _best_labelings(g: Digraph, memo: dict | None = None
     visits is stored under the form it found.  The walk recurses once
     per individualised vertex, so a digraph whose walk goes deeper than
     Python's recursion limit, such as an edgeless one of order 1,100,
-    raises ValueError.
+    raises ValueError, and so does one of order 0, which has no leaf.
     """
     n = g.n
+    if n < 1:
+        raise ValueError("canonical form requires at least one vertex")
     path: list[int] = []
     auts: list[list[int]] = []
     leaves: list[bytes] = []
@@ -317,8 +319,6 @@ def canonical_form(g: Digraph, memo: dict | None = None) -> CanonicalForm:
     A call with a memo neither reads nor keeps the last walk that
     automorphism_orbits and canonical_relabelling share.
     """
-    if g.n < 1:
-        raise ValueError("canonical form requires at least one vertex")
     if memo is not None:
         return _best_labelings(g, memo)[0]
     return _walked(g)[0]
@@ -331,8 +331,6 @@ def canonical_relabelling(g: Digraph) -> list[int]:
     equal digraph, it reuses that call's walk; the list is a fresh copy
     each time.
     """
-    if g.n < 1:
-        raise ValueError("canonical form requires at least one vertex")
     return list(_walked(g)[1])
 
 

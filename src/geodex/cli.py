@@ -10,6 +10,7 @@ variables are consulted.
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import catalog as catalog_mod
@@ -142,9 +143,17 @@ def _cmd_search(args, out, err) -> int:
         )
     checkpoint = Checkpoint(args.checkpoint, err) if args.checkpoint else None
     # opened before the search, so that a bad path fails before any task
-    # runs, but emptied only once the search has returned
+    # runs, but emptied only once the search has returned; a file that
+    # this run created is removed again when the search fails
+    created = bool(args.emit) and not os.path.exists(args.emit)
     with _open_for_writing(args.emit, "a") if args.emit else contextlib.nullcontext() as emit:
-        outcome = search(params, jobs=args.jobs, checkpoint=checkpoint)
+        try:
+            outcome = search(params, jobs=args.jobs, checkpoint=checkpoint)
+        except ValueError:
+            if created:
+                emit.close()
+                os.remove(args.emit)
+            raise
         blocks = [write_digraph(r.digraph) for r in outcome.results]
         if emit:
             emit.truncate(0)

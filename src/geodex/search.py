@@ -41,16 +41,16 @@ a copy of the balls, so a frame puts back the balls it opened with by
 reference.
 Every arc is tested by one method and added by another: a task's start
 partial enters through them, one arc at a time from the empty digraph,
-and so does each DFS node, so every state is checked by the same code;
-the test's first step is the U test that bars a candidate.  The frames
-sit on an explicit stack, so Python's recursion limit does not bound
-the depth of a search.  Full pruning in diregular mode adds one more
-cut when a row fills: a ball that the fill makes full is finished, and
-a vertex shut out of more than epsilon finished k-balls cuts.  It is
-decided on copies of the balls and the counts before the arc lands, and
-only a kept fill installs them, so backtracking is the one place where
-an arc is taken back.  All cuts are sound: they only fire on partials
-no valid completion can extend.
+and so does each DFS node, so every state is checked by the same code.
+Both bar a target in U or in in_full before the test, so the test only
+sees live targets.  The frames sit on an explicit stack, so Python's
+recursion limit does not bound the depth of a search.  Full pruning in
+diregular mode adds one more cut when a row fills: a ball that the fill
+makes full is finished, and a vertex shut out of more than epsilon
+finished k-balls cuts.  It is decided on copies of the balls and the
+counts before the arc lands, and only a kept fill installs them, so
+backtracking is the one place where an arc is taken back.  All cuts are
+sound: they only fire on partials no valid completion can extend.
 """
 
 from __future__ import annotations
@@ -146,17 +146,19 @@ class _Engine:
     the frame of its tail and changes nothing; _land is the only code
     that adds an arc, one that _check kept, and it decides a row fill on
     copies before it changes anything, so neither cut touches the
-    state.  The cost per fresh frame is one backward scan and one
-    candidate mask, per same-vertex frame a few ORs on its parent's frame;
-    per barred candidate (one in the frame's union U) a count and no more;
-    per live candidate with no out-arc a test and no scan, per other live
-    candidate one forward scan and k ANDs; per kept arc whose child would
-    have no live candidate one AND and a count; and per filled row one
-    pass over the sources plus epsilon counts per finished ball.  A filled
-    row installs grown copies of balls and shut, never changing the lists
-    a frame saw, so _dfs takes each landed arc back, in one place, by
-    clearing its two mask bits and putting back the frame's balls, shut,
-    max_used and in_full, without copying.
+    state.  _check tests a live arc only: enter() and _dfs bar a target
+    in in_full or in the frame's union U first.  The cost per fresh
+    frame is one backward scan and one candidate mask, per same-vertex
+    frame a few ORs on its parent's frame; per barred candidate (one in
+    the frame's union U) a count and no more; per live candidate with no
+    out-arc a test and no scan, per other live candidate one forward scan
+    and k ANDs; per kept arc whose child would have no live candidate one
+    AND and a count; and per filled row one pass over the sources plus
+    epsilon counts per finished ball.  A filled row installs grown copies
+    of balls and shut, never changing the lists a frame saw, so _dfs
+    takes each landed arc back, in one place, by clearing its two mask
+    bits and putting back the frame's balls, shut, max_used and in_full,
+    without copying.
     """
 
     def __init__(self, params: SearchParams, pruning: str, start: Digraph,
@@ -203,17 +205,18 @@ class _Engine:
         first frame from the balls.  Mid-row this installs what _grow
         returns, which finishes no ball and so cannot cut: every source
         it grows lies within k-1 steps of v, whose row is open.  An arc
-        into a vertex of in_full, one of in-degree d in diregular mode, is
-        refused, as the DFS never offers one.
+        into a vertex of in_full, one of in-degree d in diregular mode, or
+        into the frame's union U is refused before _check, as the DFS's
+        candidate mask filters both.
         Stopping at the first cut gives the verdict of the whole partial:
         arcs only ever break geodecity and raise in-degrees, and a ball
         reaches full size only on an arc that fills a row, which is when
         the multiplicity cut runs.
         """
         for v, w in self.start.arcs():
-            if self.in_full >> w & 1:
-                return False
             frame = self._frame(v)
+            if (self.in_full | frame[2]) >> w & 1:
+                return False
             ahead = self._check(v, w, frame)
             if not (ahead and self._land(v, w, ahead, frame)):
                 return False
@@ -256,30 +259,26 @@ class _Engine:
         Returns None when the arc would be cut, else w's balls of radius
         k-1, k-2, ..., 0, the sets that the sources of v's layers L_0,
         L_1, ... would gain.  frame is v's frame for the current state,
-        which this leaves as it is.  The partial is k-geodetic, so a
+        which this leaves as it is.  w must lie outside the frame's union
+        U: an arc to a w in U would give some source a second walk to w,
+        and every caller bars it first.  The partial is k-geodetic, so a
         source s at backward distance t from v reaches v by one walk, and
         its new walks follow that walk and the arc, then at most k-1-t
         steps from w.  Their ends must miss the k-ball of s, which holds
         s itself, so closed walks count.  A set meets some source's ball
-        of layer t exactly when it meets their union U_t, and each
-        source's new walk of length t+1 ends at w, so w in U cuts before
-        any scan; _dfs counts such a w without calling this, while
-        enter() still gets that verdict here.  Otherwise w is no source
-        of v's layers, since every stored ball holds its source, so no
+        of layer t exactly when it meets their union U_t.  Since every
+        stored ball holds its source, w is no source of v's layers, so no
         walk of length at most k-1 from w reaches v: w's balls are the
         same with the arc as without it, and the partial has no two walks
         from w that meet.  A w with no out-arc has ball {w} at every
         radius, and w is in no U_t, so it is kept with no scan.  Any
         other w costs one scan of its balls and one AND per layer.
         """
-        found, unions, union, pending = frame
-        if union >> w & 1:
-            return None
         if not self.out_mask[w]:
             return [1 << w] * self.k
         ahead = geodetic_balls(self.out_mask, w, self.k - 1)
         ahead.reverse()
-        return None if any(map(and_, unions, ahead)) else ahead
+        return None if any(map(and_, frame[1], ahead)) else ahead
 
     def _land(self, v: int, w: int, ahead: list[int],
               frame: tuple[list[int], list[int], int, list[int]]) -> bool:
@@ -385,8 +384,9 @@ class _Engine:
         the highest vertex in use, without v and without the vertices in
         in_full, which is empty in out-regular mode; none of this moves
         while the frame is open, so one bitmask per frame holds them.
-        Those in the frame's union U are barred, since _check would cut
-        them on its first test, and the rest are live.  A frame for the
+        Those in the frame's union U are barred, since an arc to one
+        would give some source a second walk to it, and the rest are
+        live; _check is called on live ones only.  A frame for the
         vertex whose row its parent left open is derived from the
         parent's frame and the sets _check returned: each U_t and P_t
         gains the set of layer t, and U gains the largest.  Any other
@@ -412,8 +412,8 @@ class _Engine:
         clears its two mask bits and puts back what it saved, and a walk
         that ends leaves the state as it found it.  The budget is tested once per landed
         arc, at the top of the loop: once the nodes pass it the walk
-        returns there, with its arcs still landed, and run() marks it
-        stopped.
+        returns there, with its arcs still landed, and run_task reports
+        it stopped.
         """
         n, d, budget = self.n, self.d, self.budget
         out_mask, in_mask = self.out_mask, self.in_mask
@@ -490,7 +490,6 @@ class _Engine:
         self.split_at = split_at
         if self.enter():
             self._dfs()
-        self.stopped = self.budget is not None and self.nodes > self.budget
 
 
 def split_tasks(params: SearchParams, pruning: str = "full") -> tuple[list[Digraph], dict]:
@@ -510,7 +509,7 @@ def split_tasks(params: SearchParams, pruning: str = "full") -> tuple[list[Digra
     stats = {
         "nodes": engine.nodes,
         "results": engine.results,
-        "stopped": engine.stopped,
+        "stopped": False,
     }
     return engine.tasks, stats
 
@@ -526,7 +525,7 @@ def run_task(params: SearchParams, task: Digraph, pruning: str = "full",
     """
     engine = _Engine(params, pruning, task, budget=budget)
     engine.run()
-    return engine.results, engine.nodes, engine.stopped
+    return engine.results, engine.nodes, budget is not None and engine.nodes > budget
 
 
 class Checkpoint:

@@ -310,15 +310,6 @@ def random_digraph(rng, n: int, loops: bool = False) -> Digraph:
     return Digraph(n, out)
 
 
-def random_out_regular(rng, n: int, d: int) -> Digraph:
-    """Random digraph where every vertex has exactly d loop-free out-neighbours."""
-    out = []
-    for v in range(n):
-        others = [w for w in range(n) if w != v]
-        out.append(rng.sample(others, d))
-    return Digraph(n, out)
-
-
 def shuffled(rng, g: Digraph) -> Digraph:
     """A uniformly random relabelling of g."""
     perm = list(range(g.n))

@@ -534,6 +534,23 @@ class TestWriteFailures:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra,message", [
+        pytest.param(["--jobs", "0"], "worker count must be at least 1", id="no-workers"),
+        pytest.param(["--k", "5000", "--d", "1", "--excess", "0"],
+                     "order 5001 exceeds the limit", id="order-over-the-limit"),
+        pytest.param(["--checkpoint", "{cp}"], "checkpoint {cp}: not a checkpoint file",
+                     id="not-a-checkpoint"),
+    ])
+    def test_search_emit_file_removed_when_the_search_fails(self, tmp_path, extra, message):
+        # each error comes after --emit has opened its file, which this run created
+        target, cp = tmp_path / "out.dg", tmp_path / "cp.json"
+        cp.write_text("[]\n")
+        extra = [arg.format(cp=cp) for arg in extra]
+        code, out, err = invoke(*SEARCH_222, *extra, "--emit", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message.format(cp=cp)}") and err.count("\n") == 1
+        assert not target.exists()
+
     def test_search_emit_file_kept_when_the_search_fails(self, tmp_path):
         target, cp = tmp_path / "out.dg", tmp_path / "cp.json"
         target.write_text("n 1\n")

@@ -65,9 +65,20 @@ def _oracle_cuts(partial, params, pruning):
                               pruning == "full")
 
 
+class _LiveOnly(_Engine):
+    """The engine with _check's precondition asserted: w is in neither in_full nor U."""
+
+    def _check(self, v, w, frame):
+        assert not (self.in_full | frame[2]) >> w & 1
+        return super()._check(v, w, frame)
+
+
 def _start_kept(partial, params, pruning="full"):
-    """Whether the engine keeps partial as a task start, asserted equal to the oracle."""
-    kept = _Engine(params, pruning, partial, budget=None).enter()
+    """Whether the engine keeps partial as a task start, asserted equal to the oracle.
+
+    enter() must bar a target in in_full or U itself, before _check.
+    """
+    kept = _LiveOnly(params, pruning, partial, budget=None).enter()
     assert kept == (not _oracle_cuts(partial, params, pruning))
     return kept
 
@@ -497,9 +508,11 @@ class TestBudgets:
         for b in range(total + 2):
             engine = _Engine(params, "full", task, budget=b)
             engine.run()
-            assert engine.stopped == (b < total)
-            if engine.stopped:
-                assert b < engine.nodes <= total
+            assert (engine.nodes > b) == (b < total)
+            if engine.nodes > b:
+                assert engine.nodes <= total
+            # run_task reports the same walk, stopped exactly when its nodes pass b
+            assert run_task(params, task, budget=b) == (engine.results, engine.nodes, b < total)
             stop = next((at for at in walk.landed if at > b), None)
             if stop is None:
                 assert (engine.results, engine.nodes) == (walk.results, total)
@@ -515,7 +528,7 @@ class TestBudgets:
         # budget; the audit checks the count and the state left
         engine = _AuditedEngine(P321, "full", split_tasks(P321)[0][482], budget=budget)
         engine.run()
-        assert (engine.nodes, engine.checked, engine.stopped) == (3, 3, budget < 3)
+        assert (engine.nodes, engine.checked, engine.nodes > budget) == (3, 3, budget < 3)
 
     def test_a_stop_inside_a_child_counted_in_its_parent(self):
         # a budget that falls between the first and the last candidate of a
@@ -530,7 +543,7 @@ class TestBudgets:
             stop = next((at for at in walk.landed if at > budget), walk.nodes)
             engine = _AuditedEngine(P232, "full", task, budget=budget)
             engine.run()
-            assert (engine.nodes, engine.checked, engine.stopped) == (stop, stop, True)
+            assert (engine.nodes, engine.checked, engine.nodes > budget) == (stop, stop, True)
 
     @pytest.mark.parametrize("budget,nodes", [(0, 1), (1, 7), (10, 11), (1000, 1014)])
     def test_a_stop_comes_at_the_first_landed_arc_past_the_budget(self, budget, nodes):
@@ -856,6 +869,7 @@ class _AuditedEngine(_Engine):
         assert grown == self._fresh_balls()
 
     def _check(self, v, w, frame):
+        assert not (self.in_full | frame[2]) >> w & 1  # enter() and _dfs bar such a w
         if id(frame) not in self.opened:
             self._check_in_full()
             self._check_shut()
@@ -1007,6 +1021,9 @@ class TestIncrementalCheck:
             before = layers(engine.in_mask, v, params.k - 1)
             saved = engine.balls, engine.shut, engine.max_used, engine.in_full
             frame = engine._frame(v)
+            if (engine.in_full | frame[2]) >> w & 1:
+                verdicts.add(False)  # barred before _check, as enter() and _dfs do
+                continue
             ahead = engine._check(v, w, frame)
             verdicts.add(bool(ahead))
             if ahead:
@@ -1022,10 +1039,11 @@ class TestIncrementalCheck:
     @given(geodetic_partials(), st.sampled_from(["basic", "full"]), st.data())
     @settings(max_examples=100, deadline=None)
     def test_checking_an_arc_changes_nothing(self, case, pruning, data):
-        # _check on every candidate of an open vertex's frame, barred ones
-        # too, leaves the state alone and gives the oracle's verdict on the
-        # partial with that arc; the multiplicity cut is _land's, so the
-        # verdict is basic pruning's
+        # _check on every live candidate of an open vertex's frame leaves
+        # the state alone and gives the oracle's verdict on the partial with
+        # that arc; the multiplicity cut is _land's, so the verdict is basic
+        # pruning's.  A barred candidate, one in U, is enter()'s to refuse,
+        # and TestPrune judges that verdict
         params, partial = case
         engine = _Engine(params, pruning, partial, budget=None)
         assume(engine.enter())
@@ -1037,7 +1055,7 @@ class TestIncrementalCheck:
         hi = min(engine.n - 1, max(engine.max_used, v) + 1)
         before = _state(engine)
         for w in range(engine.out_mask[v].bit_length(), hi + 1):
-            if w == v or params.diregular and engine.in_full >> w & 1:
+            if w == v or (engine.in_full | frame[2]) >> w & 1:
                 continue
             ahead = engine._check(v, w, frame)
             assert _state(engine) == before
