@@ -198,9 +198,11 @@ def find_geodetic_violation(g: Digraph, k: int) -> GeodeticViolation | None:
         raise ValueError(f"geodecity parameter must be at least 1, got {k}")
     masks = _masks(g.out)
     for u in range(g.n):
-        if not geodetic_balls(masks, u, min(k, 2 * g.n)):
-            # no balls: some target has two walks, so this branch returns,
-            # one build per call
+        # width 0 keeps the k-ball alone: the verdict is all this needs,
+        # and fields of n bits over up to 2n radii would grow quadratically
+        if not geodetic_balls(masks, u, min(k, 2 * g.n), 0):
+            # 0: some target has two walks, so this branch returns, one
+            # build per call
             in_masks = _masks(g.in_lists)
             for v in range(g.n):
                 walks = _first_two_walks(g, in_masks, u, v, k)

@@ -31,16 +31,19 @@ def layers(masks: list[int], u: int, r: int) -> list[int]:
     return found
 
 
-def geodetic_balls(masks: list[int], u: int, k: int) -> list[int]:
-    """The balls of u of radius 0, 1, ..., k, or [] when two walks of
-    length <= k from u end at one vertex or one returns to u.
+def geodetic_balls(masks: list[int], u: int, k: int, width: int) -> int:
+    """The balls of u of radius k, k-1, ..., 0 packed into one int, or 0
+    when two walks of length <= k from u end at one vertex or one returns
+    to u.
 
+    The ball of radius k-i is shifted to bit i*width, so with width at
+    least the order each ball has its own field, the k-ball in field 0;
+    with width 0 they all sit at bit 0 and the result is the k-ball.
     Layer i holds the ends of the walks of length i; while no two walks
     meet, each vertex in it ends exactly one of them, so a collision
     inside the layer or with an earlier one is the first duplicate.
     """
-    acc = cur = 1 << u
-    balls = [acc]
+    acc = cur = packed = 1 << u
     for _ in range(k):
         nxt = 0
         c = cur
@@ -49,14 +52,14 @@ def geodetic_balls(masks: list[int], u: int, k: int) -> list[int]:
             c ^= b
             m = masks[b.bit_length() - 1]
             if nxt & m:
-                return []
+                return 0
             nxt |= m
         if nxt & acc:
-            return []
+            return 0
         acc |= nxt
-        balls.append(acc)
+        packed = packed << width | acc
         cur = nxt
-    return balls
+    return packed
 
 
 def reach(masks: list[int], u: int, r: int) -> int:

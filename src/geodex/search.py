@@ -15,30 +15,32 @@ an arc v -> w lands, only sources that reach v within k-1 steps gain
 walks, and the new ones all run through the arc: a source t steps from
 v gains w's ball of radius k-1-t, which must not meet its stored ball.
 No arc out of v moves v's backward layers, so a DFS frame scans them
-once and ORs each layer's stored balls into one set per layer, and
-their union U.  The frame also builds its candidate targets once, as
-one bitmask.  A candidate w in U would give some source a second walk
-of length at most k to w, or a closed one, so it is barred: the frame
-counts the barred candidates in bulk, by popcount, and never tests
-them; a frame with no other candidate is not even pushed.  A live
-candidate, one outside U, is tested before its arc lands, since its
-balls of radius at most k-1 are the same with the arc as without it:
-one forward scan of w's balls and k ANDs against the layers' sets, or
-nothing at all when w has no out-arc yet.  A cut arc never touches the
-state, whichever cut it meets (see the multiplicity cut below).  A kept
-arc that leaves v's row open leads to a frame for v whose candidates
-are known at once: the frame's remaining ones above w, and one more
-when w is a newcomer, and the live ones among them are those outside
-w's ball of radius k-1.  When none is live, the child is counted in its
-parent by one popcount and the arc is never landed, except while the
-walk splits, so that no task is dropped.
+once and ORs each layer's stored balls into one set per layer, and their
+union U.  The k per-layer sets are packed into one int, layer t's set in
+the n-bit field at bit t*n, and so are the sets an arc adds.  The frame
+also builds its candidate targets once, as one bitmask.  A candidate w
+in U would give some source a second walk of length at most k to w, or a
+closed one, so it is barred: the frame counts the barred candidates in
+bulk, by popcount, and never tests them; a frame with no other candidate
+is not even pushed.  A live candidate, one outside U, is tested before
+its arc lands, since its balls of radius at most k-1 are the same with
+the arc as without it: one forward scan of w's balls, packed the same
+way, and one AND against the layers' packed sets, or nothing at all when
+w has no out-arc yet.  A cut arc never touches the state, whichever cut
+it meets (see the multiplicity cut below).  A kept arc that leaves v's
+row open leads to a frame for v whose candidates are known at once: the
+frame's remaining ones above w, and one more when w is a newcomer, and
+the live ones among them are those outside w's ball of radius k-1.  When
+none is live, the child is counted in its parent by one popcount and the
+arc is never landed, except while the walk splits, so that no task is
+dropped.
 The stored balls change once per filled row, not once per arc: every
-source of one layer gains the same set, so while v's row is open a
-kept arc only adds that set to the layer's set and to its pending set,
-in the next frame for v, which is derived from its parent with no
-backward scan.  The arc that fills the row commits the pending sets to
-a copy of the balls, so a frame puts back the balls it opened with by
-reference.
+source of one layer gains the same set, so while v's row is open a kept
+arc only adds that set to the layer's set and to its pending set, in the
+next frame for v, which is derived from its parent with no backward
+scan: one OR per packed int.  The arc that fills the row commits the
+pending sets to a copy of the balls, so a frame puts back the balls it
+opened with by reference.
 Every arc is tested by one method and added by another: a task's start
 partial enters through them, one arc at a time from the empty digraph,
 and so does each DFS node, so every state is checked by the same code.
@@ -61,7 +63,6 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import repeat
-from operator import and_, or_
 from typing import TextIO
 
 from .canon import CanonicalForm, canonical_form
@@ -142,7 +143,10 @@ class _Engine:
     the k-ball of s as of the last filled row: the arcs out of a vertex
     whose row is still open live in its frame's pending sets instead (see
     _frame).  shut[u] counts the finished balls that miss u, and stays
-    zero unless the multiplicity cut is on.  _check tests an arc against
+    zero unless the multiplicity cut is on.  The sets kept per backward
+    layer t < k are packed, all k in one int with layer t's in the n-bit
+    field at bit t*n, so one int op does for k list items.
+    _check tests an arc against
     the frame of its tail and changes nothing; _land is the only code
     that adds an arc, one that _check kept, and it decides a row fill on
     copies before it changes anything, so neither cut touches the
@@ -152,7 +156,7 @@ class _Engine:
     frame a few ORs on its parent's frame; per barred candidate (one in
     the frame's union U) a count and no more; per live candidate with no
     out-arc a test and no scan, per other live candidate one forward scan
-    and k ANDs; per kept arc whose child would have no live candidate one
+    and one AND; per kept arc whose child would have no live candidate one
     AND and a count; and per filled row one pass over the sources plus
     epsilon counts per finished ball.  A filled row installs grown copies
     of balls and shut, never changing the lists a frame saw, so _dfs
@@ -188,6 +192,10 @@ class _Engine:
         self.in_full = 0
         self.moore = moore_bound(self.d, self.k)
         self.everyone = (1 << n) - 1
+        # bit t*n of spread for each layer t < k: (1 << w) * spread is w in every field
+        self.spread = sum(1 << t * n for t in range(self.k))
+        # spans[j] covers fields 0..j-1, the fields of a frame with j layers
+        self.spans = [(1 << t * n) - 1 for t in range(self.k + 1)]
         self.nodes = 0
         self.results: dict[bytes, Digraph] = {}
         self.tasks: list[Digraph] = []
@@ -224,41 +232,44 @@ class _Engine:
                 self.balls, self.shut = self._grow(frame[0], ahead)
         return True
 
-    def _frame(self, v: int) -> tuple[list[int], list[int], int, list[int]]:
+    def _frame(self, v: int) -> tuple[list[int], int, int, int]:
         """The data every arc out of v is checked against, from the stored balls.
 
         Returns v's backward layers L_t for t < k, the union U_t of the
         stored balls of each layer's sources, their union U, and each
-        layer's pending set P_t, which is empty here.  Landing an arc out
-        of v leaves the layers alone, since v is their depth 0, and each
+        layer's pending set P_t, which is empty here.  The U_t are packed
+        into one int, U_t in the n-bit field at bit t*n, and so are the
+        P_t; a field past the last layer is empty.  Landing an arc out of
+        v leaves the layers alone, since v is their depth 0, and each
         source of L_t gains the same set, w's ball of radius k-1-t.  So
         while v's row stays open the child frame is derived, not scanned:
-        _dfs ORs that set into U_t and into P_t, which holds what the
-        sources of L_t have gained since the stored balls were brought up
-        to date.  Their k-balls are then balls[s] | P_t, and the arc that
-        fills the row commits P_t to them.
+        _dfs ORs the packed sets _check returned into the packed U_t and
+        P_t, in the fields of v's layers, and field 0 into U.  P_t holds
+        what the sources of L_t have gained since the stored balls were
+        brought up to date.  Their k-balls are then balls[s] | P_t, and
+        the arc that fills the row commits P_t to them.
         """
-        balls = self.balls
+        balls, n = self.balls, self.n
         found = layers(self.in_mask, v, self.k - 1)
-        unions = []
-        union = 0
-        for layer in found:
+        unions = union = 0
+        for t, layer in enumerate(found):
             u = 0
             while layer:
                 b = layer & -layer
                 layer ^= b
                 u |= balls[b.bit_length() - 1]
-            unions.append(u)
+            unions |= u << t * n
             union |= u
-        return found, unions, union, [0] * len(found)
+        return found, unions, union, 0
 
-    def _check(self, v: int, w: int,
-               frame: tuple[list[int], list[int], int, list[int]]) -> list[int] | None:
+    def _check(self, v: int, w: int, frame: tuple[list[int], int, int, int]) -> int:
         """Test the walks that the arc v -> w would add, without adding it.
 
-        Returns None when the arc would be cut, else w's balls of radius
+        Returns 0 when the arc would be cut, else w's balls of radius
         k-1, k-2, ..., 0, the sets that the sources of v's layers L_0,
-        L_1, ... would gain.  frame is v's frame for the current state,
+        L_1, ... would gain, packed as the frame's U_t are: the ball of
+        radius k-1-t in field t.  It is never 0, since field 0 holds w.
+        frame is v's frame for the current state,
         which this leaves as it is.  w must lie outside the frame's union
         U: an arc to a w in U would give some source a second walk to w,
         and every caller bars it first.  The partial is k-geodetic, so a
@@ -266,34 +277,35 @@ class _Engine:
         its new walks follow that walk and the arc, then at most k-1-t
         steps from w.  Their ends must miss the k-ball of s, which holds
         s itself, so closed walks count.  A set meets some source's ball
-        of layer t exactly when it meets their union U_t.  Since every
+        of layer t exactly when it meets their union U_t, so one AND of
+        the packed balls and the packed U_t tests every layer.  Since every
         stored ball holds its source, w is no source of v's layers, so no
         walk of length at most k-1 from w reaches v: w's balls are the
         same with the arc as without it, and the partial has no two walks
         from w that meet.  A w with no out-arc has ball {w} at every
-        radius, and w is in no U_t, so it is kept with no scan.  Any
-        other w costs one scan of its balls and one AND per layer.
+        radius, and w is in no U_t, so it is kept with no scan: w in
+        every field.  Any other w costs one scan of its balls, which
+        packs them, and one AND.
         """
         if not self.out_mask[w]:
-            return [1 << w] * self.k
-        ahead = geodetic_balls(self.out_mask, w, self.k - 1)
-        ahead.reverse()
-        return None if any(map(and_, frame[1], ahead)) else ahead
+            return (1 << w) * self.spread
+        ahead = geodetic_balls(self.out_mask, w, self.k - 1, self.n)
+        return 0 if frame[1] & ahead else ahead
 
-    def _land(self, v: int, w: int, ahead: list[int],
-              frame: tuple[list[int], list[int], int, list[int]]) -> bool:
+    def _land(self, v: int, w: int, ahead: int, frame: tuple[list[int], int, int, int]) -> bool:
         """Add the arc v -> w, which _check kept with the sets ahead; False means cut.
 
         The only code that sets a mask bit or adds to in_full.  An arc
         that leaves v's row open touches no stored ball and cannot cut:
         the caller carries ahead in the frame's pending sets.  The arc
         that fills the row first has _grow commit each layer's pending
-        set and its own to copies of balls and shut, which may cut; only
+        set and its own, the packed P_t ORed with ahead, to copies of
+        balls and shut, which may cut; only
         a kept fill installs them and lands, so a cut changes nothing.
         """
         out_mask, in_mask = self.out_mask, self.in_mask
         if out_mask[v].bit_count() == self.d - 1:
-            grown = self._grow(frame[0], list(map(or_, frame[3], ahead)))
+            grown = self._grow(frame[0], frame[3] | ahead)
             if grown is None:
                 return False
             self.balls, self.shut = grown
@@ -307,10 +319,12 @@ class _Engine:
             self.max_used = v
         return True
 
-    def _grow(self, found: list[int], news: list[int]) -> tuple[list[int], list[int]] | None:
-        """The stored balls with news[t] ORed into each source of layer found[t], and shut.
+    def _grow(self, found: list[int], news: int) -> tuple[list[int], list[int]] | None:
+        """The stored balls with field t of news ORed into each source of found[t], and shut.
 
-        Returns a new (balls, shut) pair, or None for a cut, and changes
+        news packs one n-bit set per layer, layer t's at bit t*n; fields
+        past the last layer are not read.  Returns a new (balls, shut)
+        pair, or None for a cut, and changes
         nothing.  Without duplicate walks a ball is full exactly when
         every vertex within k-1 steps of its source has its whole
         out-list, so it is then finished.  In full diregular mode each of
@@ -318,7 +332,9 @@ class _Engine:
         finished ball, and the first count above epsilon cuts at once.
         """
         balls, moore, mult, shut = self.balls[:], self.moore, self.mult_mode, None
-        for layer, new in zip(found, news):
+        n, everyone = self.n, self.everyone
+        for t, layer in enumerate(found):
+            new = news >> t * n & everyone
             while layer:
                 b = layer & -layer
                 layer ^= b
@@ -388,8 +404,9 @@ class _Engine:
         would give some source a second walk to it, and the rest are
         live; _check is called on live ones only.  A frame for the
         vertex whose row its parent left open is derived from the
-        parent's frame and the sets _check returned: each U_t and P_t
-        gains the set of layer t, and U gains the largest.  Any other
+        parent's frame and the packed sets _check returned: the packed
+        U_t and P_t each gain them by one OR, cut to the fields of v's
+        layers, and U gains field 0, the largest.  Any other
         frame is built by _frame from the stored balls, which the last
         filled row brought up to date.
         A frame with no live candidate is counted by one popcount
@@ -415,7 +432,7 @@ class _Engine:
         returns there, with its arcs still landed, and run_task reports
         it stopped.
         """
-        n, d, budget = self.n, self.d, self.budget
+        n, d, budget, everyone = self.n, self.d, self.budget, self.everyone
         out_mask, in_mask = self.out_mask, self.in_mask
         check, land = self._check, self._land
         counting = self.split_at is None
@@ -437,11 +454,11 @@ class _Engine:
                 cands = ((2 << hi) - (1 << lo)) & ~(1 << v) & ~self.in_full
                 if stack and stack[-1][0] == v:
                     found, unions, union, pending = stack[-1][5]
-                    union |= ahead[0]
+                    union |= ahead & everyone
                     live = cands & ~union
                     if live:
-                        frame = (found, list(map(or_, unions, ahead)), union,
-                                 list(map(or_, pending, ahead)))
+                        ahead &= self.spans[len(found)]
+                        frame = found, unions | ahead, union, pending | ahead
                 else:
                     frame = self._frame(v)
                     union = frame[2]
@@ -472,7 +489,8 @@ class _Engine:
                     ahead = check(v, w, frame)
                     if not ahead:
                         continue
-                    if w < last and not live & ~ahead[0]:
+                    # live lies below bit n, so this reads w's ball of radius k-1 alone
+                    if w < last and not live & ~ahead:
                         self.nodes += (live | barred).bit_count()
                         continue
                     if land(v, w, ahead, frame):
@@ -535,13 +553,14 @@ class Checkpoint:
     sha256 of the split task list, so a file from another search or from
     an engine that splits differently is refused.  Each record holds a
     task's node count and its results as hex canonical form -> digraph
-    text.  Resuming and progress lines go to log.
+    text.  Each record and the key are JSON-encoded once, so a save
+    encodes only its own record.  Resuming and progress lines go to log.
     """
 
     def __init__(self, path: str, log: TextIO | None = None):
         self.path = path
         self.log = log or sys.stderr
-        self.done: dict[str, dict] = {}
+        self.done: dict[str, str] = {}  # task index -> its record's JSON text
 
     def _bad(self, why: str) -> ValueError:
         return ValueError(f"checkpoint {self.path}: {why}")
@@ -560,10 +579,11 @@ class Checkpoint:
 
         shape = json.dumps([task.out for task in tasks]).encode()
         self.total = len(tasks)
-        self.key = {"version": CHECKPOINT_VERSION, "d": params.d, "k": params.k,
-                    "excess": params.epsilon, "diregular": params.diregular,
-                    "pruning": pruning, "split_slots": SPLIT_SLOTS,
-                    "tasks": hashlib.sha256(shape).hexdigest()}
+        key = {"version": CHECKPOINT_VERSION, "d": params.d, "k": params.k,
+               "excess": params.epsilon, "diregular": params.diregular,
+               "pruning": pruning, "split_slots": SPLIT_SLOTS,
+               "tasks": hashlib.sha256(shape).hexdigest()}
+        self.key = json.dumps(key)
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
                 saved = json.load(fh)
@@ -575,7 +595,7 @@ class Checkpoint:
         if not (isinstance(saved, dict) and set(saved) == {"key", "done"}
                 and isinstance(saved["done"], dict)):
             raise self._bad("not a checkpoint file")
-        if saved["key"] != self.key:
+        if saved["key"] != key:
             raise self._bad("written by another format version, search or task list")
         restored = {}
         for name, record in saved["done"].items():
@@ -597,7 +617,7 @@ class Checkpoint:
                 if canonical_form(g).data != data:
                     raise self._bad(f"task {name}: result {data.hex()} is not its digraph's canonical form")
             restored[int(name)] = results, record["nodes"]
-        self.done = saved["done"]
+        self.done = {name: json.dumps(record) for name, record in saved["done"].items()}
         self.flush()
         print(f"resuming: {len(self.done)} tasks already finished", file=self.log)
         return restored
@@ -606,20 +626,24 @@ class Checkpoint:
              explored: int) -> None:
         """Record a finished task, its results in form order, and rewrite the file."""
         texts = {form.hex(): write_digraph(g) for form, g in sorted(results.items())}
-        self.done[str(index)] = {"nodes": nodes, "results": texts}
+        self.done[str(index)] = json.dumps({"nodes": nodes, "results": texts})
         self.flush()
         print(f"progress tasks={len(self.done)}/{self.total} nodes={explored}", file=self.log)
 
     def flush(self) -> None:
         """Rewrite the file through PATH.tmp; restore and every save call it.
 
-        A file that cannot be written raises ValueError and leaves no PATH.tmp.
+        The file is json.dumps({"key": ..., "done": ...}) plus a newline,
+        joined from the encoded key and records: json.dumps writes a dict
+        as its encoded items joined by ", ", and the task indices are
+        decimal strings, which need no escape.  A file that cannot be
+        written raises ValueError and leaves no PATH.tmp.
         """
+        done = ", ".join(f'"{name}": {record}' for name, record in self.done.items())
         tmp = self.path + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                # json.dumps encodes in C; json.dump to a file runs the pure-Python encoder
-                fh.write(json.dumps({"key": self.key, "done": self.done}) + "\n")
+                fh.write(f'{{"key": {self.key}, "done": {{{done}}}}}\n')
             os.replace(tmp, self.path)
         except OSError as exc:
             with contextlib.suppress(OSError):

@@ -1,7 +1,8 @@
 import io
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from geodex import (
     Digraph,
@@ -124,7 +125,24 @@ class TestRead:
         ("\n# no header\n\n", "line 1: missing header 'n <order>'"),
         ("n -1\n", "line 1: order must be non-negative, got -1"),
         ("n 2\nx: 1\n", "line 2: vertex index is not an integer: 'x'"),
-    ], ids=["empty", "comment-only", "negative-order", "non-integer-vertex"])
+        # a number is an optional '-' and ASCII digits, as write_digraph
+        # writes it; int() alone would read each of these
+        ("n 1_0\n", "line 1: order is not an integer: '1_0'"),
+        ("n +2\n", "line 1: order is not an integer: '+2'"),
+        ("n \u0662\n", "line 1: order is not an integer: '\u0662'"),
+        ("n -\n", "line 1: order is not an integer: '-'"),
+        ("n 2\n+1: 0\n", "line 2: vertex index is not an integer: '+1'"),
+        ("n 12\n1_1: 0\n", "line 2: vertex index is not an integer: '1_1'"),
+        ("n 2\n0: +1\n", "line 2: vertex 0 has a non-integer out-neighbour"),
+        ("n 2\n0: \uff11\n", "line 2: vertex 0 has a non-integer out-neighbour"),
+        ("n 2\n0: --1\n", "line 2: vertex 0 has a non-integer out-neighbour"),
+        # a '-' sign still parses, so these keep their range messages
+        ("n 2\n-1: 0\n", "line 2: vertex -1 out of range 0..1"),
+        ("n 2\n0: -1\n", "line 2: vertex 0 has out-neighbour -1 out of range 0..1"),
+    ], ids=["empty", "comment-only", "negative-order", "non-integer-vertex", "underscore-order",
+            "plus-order", "arabic-indic-order", "bare-minus-order", "plus-vertex",
+            "underscore-vertex", "plus-target", "fullwidth-target", "double-minus-target",
+            "negative-vertex", "negative-target"])
     def test_rejects_with_its_message(self, text, message):
         with pytest.raises(DigraphFormatError) as exc:
             read_digraph(text)
@@ -146,6 +164,20 @@ class TestRead:
     def test_non_integer_target(self):
         with pytest.raises(DigraphFormatError, match="non-integer"):
             read_digraph("n 2\n0: x\n")
+
+    # digits, signs, '_', an Arabic-Indic and a fullwidth digit and a letter
+    @given(st.text("019-+_\u0663\uff11x", min_size=1, max_size=4),
+           st.sampled_from(["n {}\n", "n 3\n{}: 1\n", "n 3\n0: 1 {}\n", "n 3\n0: {} 1\n"]))
+    def test_a_number_is_a_minus_and_ascii_digits(self, token, template):
+        # anything else is refused as not an integer wherever it stands, on
+        # a line with no other fault; such a number may still be out of range
+        plain = re.fullmatch("-?[0-9]+", token) is not None
+        try:
+            read_digraph(template.format(token))
+            refused = False
+        except DigraphFormatError as exc:
+            refused = "not an integer" in str(exc) or "non-integer" in str(exc)
+        assert refused == (not plain)
 
     @given(digraphs(max_n=8, loops=True))
     def test_round_trip_any_digraph(self, g):

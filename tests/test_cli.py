@@ -179,7 +179,8 @@ class TestCanon:
         ("# no header\n", "line 1: missing header 'n <order>'"),
         ("n -1\n", "line 1: order must be non-negative, got -1"),
         ("n 2\nx: 1\n", "line 2: vertex index is not an integer: 'x'"),
-    ], ids=["empty", "comment-only", "negative-order", "non-integer-vertex"])
+        ("n 1_0\n", "line 1: order is not an integer: '1_0'"),
+    ], ids=["empty", "comment-only", "negative-order", "non-integer-vertex", "underscore-order"])
     def test_input_error_is_one_line(self, tmp_path, text, message):
         p = tmp_path / "bad.dg"
         p.write_text(text)
@@ -379,6 +380,19 @@ class TestSearchCheckpoint:
         assert len(data) == 16125
         assert hashlib.sha256(data).hexdigest() == (
             "0d22364586ec9333038fe7213684378fdb156498f09802191901a56800cfa192")
+
+    def test_a_resumed_file_is_the_json_of_what_it_holds(self, tmp_path):
+        # each record is encoded once and the file joined from the encoded
+        # parts, which must read as json.dumps of the whole, after a fresh
+        # start and its saves and after resumed slices
+        cp = tmp_path / "cp.json"
+        assert invoke(*SEARCH_222, "--budget", "1500", "--checkpoint", str(cp))[0] == 1
+        first = cp.read_text()
+        assert first == json.dumps(json.loads(first)) + "\n"
+        assert len(_slices(cp)) > 1
+        text = cp.read_text()
+        assert len(json.loads(text)["done"]) > len(json.loads(first)["done"])
+        assert text == json.dumps(json.loads(text)) + "\n"
 
     def test_mismatched_params_rejected(self, tmp_path):
         cp = tmp_path / "cp.json"

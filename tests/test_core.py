@@ -217,9 +217,9 @@ class TestGeodetic:
         n = g.n
         k = data.draw(st.integers(2 * n + 1, 4 * n))
         masks = [sum(1 << w for w in targets) for targets in g.out]
-        # each source's k-ball as a one-item list, or [] when it fails
-        balls = [geodetic_balls(masks, u, k)[-1:] for u in range(n)]
-        assert balls == [geodetic_balls(masks, u, 2 * n)[-1:] for u in range(n)]
+        # each source's k-ball, or 0 when it fails
+        balls = [geodetic_balls(masks, u, k, 0) for u in range(n)]
+        assert balls == [geodetic_balls(masks, u, 2 * n, 0) for u in range(n)]
         # so the witness comes from the first source whose k-ball fails
         v = find_geodetic_violation(g, k)
         assert (None if v is None else v.source) == next((u for u, b in enumerate(balls) if not b), None)
@@ -232,7 +232,13 @@ class TestGeodetic:
             # the balls of radius 0..k while no two walks end alike, else none at all
             radii = [sum(1 << v for v, dv in bfs_distances(g, u).items() if dv <= r)
                      for r in range(k + 1)]
-            assert geodetic_balls(masks, u, k) == (radii if len(ends) == len(set(ends)) else [])
+            geodetic = len(ends) == len(set(ends))
+            # radius k - i in field i of n bits, or the k-ball alone at width 0
+            packed = geodetic_balls(masks, u, k, g.n)
+            assert [packed >> i * g.n & (1 << g.n) - 1 for i in range(k + 1)] == (
+                radii[::-1] if geodetic else [0] * (k + 1))
+            assert packed >> (k + 1) * g.n == 0
+            assert geodetic_balls(masks, u, k, 0) == (radii[-1] if geodetic else 0)
 
 
 class TestArgumentChecks:

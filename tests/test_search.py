@@ -60,6 +60,11 @@ class TestSeedTree:
         assert s.out[7:] == ((),) * 10
 
 
+def _fields(x, n, k):
+    """The k n-bit fields of x, field t being bits t*n to t*n+n-1, as the engine packs its sets."""
+    return [x >> t * n & (1 << n) - 1 for t in range(k)]
+
+
 def _oracle_cuts(partial, params, pruning):
     return partial_cut_oracle(partial, params.d, params.k, params.epsilon, params.diregular,
                               pruning == "full")
@@ -410,22 +415,34 @@ class TestMaskBuiltDigraph:
         ref = Digraph(n, [[w for w in range(n) if m >> w & 1] for m in masks])
         _assert_same_digraph(_Engine._digraph(engine), ref)
 
-    @pytest.mark.parametrize("params,leaves", [
-        pytest.param(SearchParams(2, 2, 3, True), 344, id="2,2,+3"),
-        pytest.param(SearchParams(2, 2, 3, False), 10580, id="2,2,+3-out-regular"),
+    # the forms' sha256 is that of the sorted forms concatenated, as
+    # perfbench/spec.py pins it for the out-regular search
+    @pytest.mark.parametrize("params,leaves,nodes,classes,digest", [
+        pytest.param(SearchParams(2, 2, 3, True), 344, 39559, 7,
+                     "0675726dfd891eaaead55ac4a5c791f4dbb994939c15082b00cfde94ff660a73",
+                     id="2,2,+3"),
+        pytest.param(SearchParams(2, 2, 3, False), 10580, 375060, 107,
+                     "8254026306182b1df8b940d6385395bc684ee0f8d9b11772b74b9da5a19bcffa",
+                     id="2,2,+3-out-regular"),
     ])
-    def test_every_leaf_and_task(self, params, leaves):
+    def test_every_leaf_and_task(self, params, leaves, nodes, classes, digest):
         split = _LeafCheck(params, "full", seed_tree(params), budget=None)
         split.run(split_at=SPLIT_SLOTS)
         forms = set(split.results)
+        walked = split.nodes
         for task in split.tasks:
             _assert_same_digraph(task, Digraph(task.n, task.out))
             engine = _LeafCheck(params, "full", task, budget=None)
             engine.run()
             split.leaves += engine.leaves
+            walked += engine.nodes
             forms |= engine.results.keys()
         assert split.leaves == leaves
-        assert forms == {r.form.data for r in search(params).results}
+        out = search(params)
+        assert walked == out.nodes_explored == nodes
+        assert forms == {r.form.data for r in out.results}
+        assert len(forms) == classes
+        assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == digest
 
 
 class TestRowMemo:
@@ -879,7 +896,7 @@ class _AuditedEngine(_Engine):
             finally:
                 self.balls = stored
             assert frame[:3] == rebuilt[:3]
-            self._check_grown(frame[0], frame[3])
+            self._check_grown(frame[0], _fields(frame[3], self.n, self.k))
             self.opened[id(frame)] = frame, _state(self)
         state = self.opened[id(frame)][1]
         assert _state(self) == state
@@ -928,7 +945,7 @@ class _AuditedEngine(_Engine):
             assert _state(self) == self.opened[id(frame)][1]
         else:
             if self.out_mask[v].bit_count() < self.d:
-                self._check_grown(frame[0], [p | new for p, new in zip(frame[3], ahead)])
+                self._check_grown(frame[0], _fields(frame[3] | ahead, self.n, self.k))
             else:
                 assert self.balls == self._fresh_balls()
             self._check_shut()
@@ -1062,6 +1079,42 @@ class TestIncrementalCheck:
             partial = Digraph(engine.n, [row + (w,) if u == v else row
                                          for u, row in enumerate(rows)])
             assert bool(ahead) == (not _oracle_cuts(partial, params, "basic"))
+
+    @given(geodetic_partials(), st.sampled_from(["basic", "full"]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_packed_fields_are_the_bfs_sets(self, case, pruning, data):
+        # field t of a fresh frame's U is the union of the BFS k-balls of
+        # the sources t steps before v, and field t of what _check keeps is
+        # w's BFS ball of radius k-1-t; (2,3,+2) has three fields
+        params, partial = case
+        engine = _Engine(params, pruning, partial, budget=None)
+        assume(engine.enter())
+        n, k = engine.n, params.k
+        open_ = [v for v in range(n) if engine.out_mask[v].bit_count() < params.d]
+        assume(open_)
+        v = data.draw(st.sampled_from(open_))
+        g = engine._digraph()
+        dist = [bfs_distances(g, s) for s in range(n)]
+
+        def ball(s, r):
+            return sum(1 << x for x, t in dist[s].items() if t <= r)
+
+        sets = [0] * (k + 1)  # one field past the last, which must stay empty
+        covered = 0  # U, the union of every field
+        for s in range(n):
+            if dist[s].get(v, k) < k:
+                sets[dist[s][v]] |= ball(s, k)
+                covered |= ball(s, k)
+        frame = engine._frame(v)
+        _, unions, union, pending = frame
+        assert _fields(unions, n, k + 1) == sets
+        assert (union, pending) == (covered, 0)
+        for w in range(engine.out_mask[v].bit_length(), n):
+            if w == v or (engine.in_full | union) >> w & 1:
+                continue
+            ahead = engine._check(v, w, frame)
+            if ahead:
+                assert _fields(ahead, n, k + 1) == [ball(w, k - 1 - t) for t in range(k)] + [0]
 
     def test_whole_search_audited(self):
         engine = _AuditedEngine(P222, "full", seed_tree(P222), budget=None)
