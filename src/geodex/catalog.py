@@ -83,8 +83,7 @@ def write_digraph(g: Digraph) -> str:
 
 def _integer(token: str) -> int:
     """token as an int when it is an optional '-' and ASCII digits, else ValueError."""
-    digits = token[1:] if token.startswith("-") else token
-    if not (digits.isascii() and digits.isdigit()):
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
         raise ValueError(token)
     return int(token)
 
@@ -95,8 +94,8 @@ def read_digraph(source: str | TextIO) -> Digraph:
     Lines whose first non-blank character is '#' are ignored, as are blank
     lines.  The header may declare an order of at most MAX_ORDER.  A vertex
     may appear at most once; vertices without a line get an empty out-list.
-    A number is an optional '-' and ASCII digits.  Parse errors report the 1-based line number; semantic errors name the
-    vertex.
+    A number is an optional '-' and ASCII digits.  Parse errors report the
+    1-based line number; semantic errors name the vertex.
     """
     text = source if isinstance(source, str) else source.read()
     n: int | None = None
@@ -105,15 +104,12 @@ def read_digraph(source: str | TextIO) -> Digraph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        # int() reads a number as _integer does unless it holds a '+', a '_'
-        # or a non-ASCII digit, none of which write_digraph writes
-        parse = int if line.isascii() and "+" not in line and "_" not in line else _integer
         if n is None:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "n":
                 raise DigraphFormatError(f"line {lineno}: expected header 'n <order>', got {raw!r}")
             try:
-                n = parse(parts[1])
+                n = _integer(parts[1])
             except ValueError:
                 raise DigraphFormatError(f"line {lineno}: order is not an integer: {parts[1]!r}") from None
             if n < 0:
@@ -125,7 +121,7 @@ def read_digraph(source: str | TextIO) -> Digraph:
         if not sep:
             raise DigraphFormatError(f"line {lineno}: expected '<vertex>: <out-list>', got {raw!r}")
         try:
-            v = parse(head.strip())
+            v = _integer(head.strip())
         except ValueError:
             raise DigraphFormatError(f"line {lineno}: vertex index is not an integer: {head.strip()!r}") from None
         if not 0 <= v < n:
@@ -133,7 +129,7 @@ def read_digraph(source: str | TextIO) -> Digraph:
         if v in rows:
             raise DigraphFormatError(f"line {lineno}: vertex {v} listed twice")
         try:
-            targets = tuple(map(parse, tail.split()))
+            targets = tuple(map(_integer, tail.split()))
         except ValueError:
             raise DigraphFormatError(f"line {lineno}: vertex {v} has a non-integer out-neighbour") from None
         for w in targets:

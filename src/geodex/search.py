@@ -553,14 +553,13 @@ class Checkpoint:
     sha256 of the split task list, so a file from another search or from
     an engine that splits differently is refused.  Each record holds a
     task's node count and its results as hex canonical form -> digraph
-    text.  Each record and the key are JSON-encoded once, so a save
-    encodes only its own record.  Resuming and progress lines go to log.
+    text.  Resuming and progress lines go to log.
     """
 
     def __init__(self, path: str, log: TextIO | None = None):
         self.path = path
         self.log = log or sys.stderr
-        self.done: dict[str, str] = {}  # task index -> its record's JSON text
+        self.done: dict[str, dict] = {}
 
     def _bad(self, why: str) -> ValueError:
         return ValueError(f"checkpoint {self.path}: {why}")
@@ -579,11 +578,10 @@ class Checkpoint:
 
         shape = json.dumps([task.out for task in tasks]).encode()
         self.total = len(tasks)
-        key = {"version": CHECKPOINT_VERSION, "d": params.d, "k": params.k,
-               "excess": params.epsilon, "diregular": params.diregular,
-               "pruning": pruning, "split_slots": SPLIT_SLOTS,
-               "tasks": hashlib.sha256(shape).hexdigest()}
-        self.key = json.dumps(key)
+        self.key = {"version": CHECKPOINT_VERSION, "d": params.d, "k": params.k,
+                    "excess": params.epsilon, "diregular": params.diregular,
+                    "pruning": pruning, "split_slots": SPLIT_SLOTS,
+                    "tasks": hashlib.sha256(shape).hexdigest()}
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
                 saved = json.load(fh)
@@ -595,7 +593,7 @@ class Checkpoint:
         if not (isinstance(saved, dict) and set(saved) == {"key", "done"}
                 and isinstance(saved["done"], dict)):
             raise self._bad("not a checkpoint file")
-        if saved["key"] != key:
+        if saved["key"] != self.key:
             raise self._bad("written by another format version, search or task list")
         restored = {}
         for name, record in saved["done"].items():
@@ -617,7 +615,7 @@ class Checkpoint:
                 if canonical_form(g).data != data:
                     raise self._bad(f"task {name}: result {data.hex()} is not its digraph's canonical form")
             restored[int(name)] = results, record["nodes"]
-        self.done = {name: json.dumps(record) for name, record in saved["done"].items()}
+        self.done = saved["done"]
         self.flush()
         print(f"resuming: {len(self.done)} tasks already finished", file=self.log)
         return restored
@@ -626,24 +624,20 @@ class Checkpoint:
              explored: int) -> None:
         """Record a finished task, its results in form order, and rewrite the file."""
         texts = {form.hex(): write_digraph(g) for form, g in sorted(results.items())}
-        self.done[str(index)] = json.dumps({"nodes": nodes, "results": texts})
+        self.done[str(index)] = {"nodes": nodes, "results": texts}
         self.flush()
         print(f"progress tasks={len(self.done)}/{self.total} nodes={explored}", file=self.log)
 
     def flush(self) -> None:
         """Rewrite the file through PATH.tmp; restore and every save call it.
 
-        The file is json.dumps({"key": ..., "done": ...}) plus a newline,
-        joined from the encoded key and records: json.dumps writes a dict
-        as its encoded items joined by ", ", and the task indices are
-        decimal strings, which need no escape.  A file that cannot be
-        written raises ValueError and leaves no PATH.tmp.
+        A file that cannot be written raises ValueError and leaves no PATH.tmp.
         """
-        done = ", ".join(f'"{name}": {record}' for name, record in self.done.items())
         tmp = self.path + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(f'{{"key": {self.key}, "done": {{{done}}}}}\n')
+                # json.dumps encodes in C; json.dump to a file runs the pure-Python encoder
+                fh.write(json.dumps({"key": self.key, "done": self.done}) + "\n")
             os.replace(tmp, self.path)
         except OSError as exc:
             with contextlib.suppress(OSError):
