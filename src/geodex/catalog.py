@@ -17,6 +17,9 @@ from .core import Digraph
 # header alone can no longer make the reader allocate without bound.
 MAX_ORDER = 4096
 
+# The most characters of a token or a line that an error message repeats.
+_SHOWN = 40
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -82,10 +85,26 @@ def write_digraph(g: Digraph) -> str:
 
 
 def _integer(token: str) -> int:
-    """token as an int when it is an optional '-' and ASCII digits, else ValueError."""
-    if not (token.isascii() and token.removeprefix("-").isdigit()):
+    """token as an int when it is an optional '-' and ASCII digits, else ValueError.
+
+    int() refuses more than 4,300 digits, so a token of more than 19
+    digits loses its leading zeros and keeps its first 19: a number that
+    long is out of every range a file has either way, and each message
+    shows the token, not the number.
+    """
+    digits = token.removeprefix("-")
+    if not (token.isascii() and digits.isdigit()):
         raise ValueError(token)
+    if len(digits) > 19:
+        token = token[: len(token) - len(digits)] + (digits.lstrip("0")[:19] or "0")
     return int(token)
+
+
+def _shown(text: str, show=str) -> str:
+    """show(text) for a message, or show() of its first _SHOWN characters and its length."""
+    if len(text) <= _SHOWN:
+        return show(text)
+    return f"{show(text[:_SHOWN])}... ({len(text)} characters)"
 
 
 def read_digraph(source: str | TextIO) -> Digraph:
@@ -107,34 +126,38 @@ def read_digraph(source: str | TextIO) -> Digraph:
         if n is None:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "n":
-                raise DigraphFormatError(f"line {lineno}: expected header 'n <order>', got {raw!r}")
+                raise DigraphFormatError(f"line {lineno}: expected header 'n <order>', got {_shown(raw, repr)}")
+            token = parts[1]
             try:
-                n = _integer(parts[1])
+                n = _integer(token)
             except ValueError:
-                raise DigraphFormatError(f"line {lineno}: order is not an integer: {parts[1]!r}") from None
+                raise DigraphFormatError(f"line {lineno}: order is not an integer: {_shown(token, repr)}") from None
             if n < 0:
-                raise DigraphFormatError(f"line {lineno}: order must be non-negative, got {n}")
+                raise DigraphFormatError(f"line {lineno}: order must be non-negative, got {_shown(token)}")
             if n > MAX_ORDER:
-                raise DigraphFormatError(f"line {lineno}: order {n} exceeds the limit of {MAX_ORDER}")
+                raise DigraphFormatError(f"line {lineno}: order {_shown(token)} exceeds the limit of {MAX_ORDER}")
             continue
         head, sep, tail = line.partition(":")
         if not sep:
-            raise DigraphFormatError(f"line {lineno}: expected '<vertex>: <out-list>', got {raw!r}")
+            raise DigraphFormatError(f"line {lineno}: expected '<vertex>: <out-list>', got {_shown(raw, repr)}")
+        head = head.strip()
         try:
-            v = _integer(head.strip())
+            v = _integer(head)
         except ValueError:
-            raise DigraphFormatError(f"line {lineno}: vertex index is not an integer: {head.strip()!r}") from None
+            raise DigraphFormatError(f"line {lineno}: vertex index is not an integer: {_shown(head, repr)}") from None
         if not 0 <= v < n:
-            raise DigraphFormatError(f"line {lineno}: vertex {v} out of range 0..{n - 1}")
+            raise DigraphFormatError(f"line {lineno}: vertex {_shown(head)} out of range 0..{n - 1}")
         if v in rows:
             raise DigraphFormatError(f"line {lineno}: vertex {v} listed twice")
+        tokens = tail.split()
         try:
-            targets = tuple(map(_integer, tail.split()))
+            targets = tuple(map(_integer, tokens))
         except ValueError:
             raise DigraphFormatError(f"line {lineno}: vertex {v} has a non-integer out-neighbour") from None
-        for w in targets:
+        for token, w in zip(tokens, targets):
             if not 0 <= w < n:
-                raise DigraphFormatError(f"line {lineno}: vertex {v} has out-neighbour {w} out of range 0..{n - 1}")
+                raise DigraphFormatError(f"line {lineno}: vertex {v} has out-neighbour {_shown(token)} "
+                                         f"out of range 0..{n - 1}")
         if len(set(targets)) != len(targets):
             raise DigraphFormatError(f"line {lineno}: vertex {v} has a repeated out-neighbour")
         rows[v] = targets

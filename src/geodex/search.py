@@ -49,8 +49,11 @@ sees live targets.  The frames sit on an explicit stack, so Python's
 recursion limit does not bound the depth of a search.  Full pruning in
 diregular mode adds one more cut when a row fills: a ball that the fill
 makes full is finished, and a vertex shut out of more than epsilon
-finished k-balls cuts.  It is decided on copies of the balls and the
-counts before the arc lands, and only a kept fill installs them, so
+finished k-balls cuts.  The counts are one int in unary, the vertices
+counted more than j times in the n-bit field at bit j*n, so a finished
+ball counts its outliers by one shift, AND and OR, and the cut reads
+field epsilon.  It is decided on a copy of the balls and on the counts
+before the arc lands, and only a kept fill installs them, so
 backtracking is the one place where an arc is taken back.  All cuts are
 sound: they only fire on partials no valid completion can extend.
 """
@@ -142,8 +145,11 @@ class _Engine:
     where in-degrees are free, it stays empty.  balls[s] holds
     the k-ball of s as of the last filled row: the arcs out of a vertex
     whose row is still open live in its frame's pending sets instead (see
-    _frame).  shut[u] counts the finished balls that miss u, and stays
-    zero unless the multiplicity cut is on.  The sets kept per backward
+    _frame).  shut counts, for each vertex u, the finished balls that
+    miss u, in unary: u is in field j, bits j*n to j*n+n-1, when its
+    count is above j, for j <= epsilon, so the fields are nested and
+    field epsilon is empty on every kept state.  It stays 0 unless the
+    multiplicity cut is on.  The sets kept per backward
     layer t < k are packed, all k in one int with layer t's in the n-bit
     field at bit t*n, so one int op does for k list items.
     _check tests an arc against
@@ -158,11 +164,11 @@ class _Engine:
     out-arc a test and no scan, per other live candidate one forward scan
     and one AND; per kept arc whose child would have no live candidate one
     AND and a count; and per filled row one pass over the sources plus
-    epsilon counts per finished ball.  A filled row installs grown copies
-    of balls and shut, never changing the lists a frame saw, so _dfs
-    takes each landed arc back, in one place, by clearing its two mask
-    bits and putting back the frame's balls, shut, max_used and in_full,
-    without copying.
+    one shift, AND and OR per finished ball.  A filled row installs a
+    grown copy of balls and a new shut, never changing what a frame saw,
+    so _dfs takes each landed arc back, in one place, by clearing its two
+    mask bits and putting back the frame's balls, shut, max_used and
+    in_full, without copying.
     """
 
     def __init__(self, params: SearchParams, pruning: str, start: Digraph,
@@ -187,11 +193,14 @@ class _Engine:
         self.out_mask = [0] * n
         self.in_mask = [0] * n
         self.balls = [1 << u for u in range(n)]
-        self.shut = [0] * n
+        self.shut = 0
         self.max_used = -1
         self.in_full = 0
         self.moore = moore_bound(self.d, self.k)
         self.everyone = (1 << n) - 1
+        # bit j*n for each of shut's fields j <= epsilon, so out * levels is out in every one
+        self.levels = ((1 << (params.epsilon + 1) * n) - 1) // self.everyone
+        self.top = params.epsilon * n  # shut >> top is field epsilon
         # bit t*n of spread for each layer t < k: (1 << w) * spread is w in every field
         self.spread = sum(1 << t * n for t in range(self.k))
         # spans[j] covers fields 0..j-1, the fields of a frame with j layers
@@ -299,8 +308,8 @@ class _Engine:
         that leaves v's row open touches no stored ball and cannot cut:
         the caller carries ahead in the frame's pending sets.  The arc
         that fills the row first has _grow commit each layer's pending
-        set and its own, the packed P_t ORed with ahead, to copies of
-        balls and shut, which may cut; only
+        set and its own, the packed P_t ORed with ahead, to a copy of
+        balls and to shut, which may cut; only
         a kept fill installs them and lands, so a cut changes nothing.
         """
         out_mask, in_mask = self.out_mask, self.in_mask
@@ -319,7 +328,7 @@ class _Engine:
             self.max_used = v
         return True
 
-    def _grow(self, found: list[int], news: int) -> tuple[list[int], list[int]] | None:
+    def _grow(self, found: list[int], news: int) -> tuple[list[int], int] | None:
         """The stored balls with field t of news ORed into each source of found[t], and shut.
 
         news packs one n-bit set per layer, layer t's at bit t*n; fields
@@ -328,11 +337,14 @@ class _Engine:
         nothing.  Without duplicate walks a ball is full exactly when
         every vertex within k-1 steps of its source has its whole
         out-list, so it is then finished.  In full diregular mode each of
-        its epsilon outliers gains one in shut, copied at the first
-        finished ball, and the first count above epsilon cuts at once.
+        its epsilon outliers, the set out, gains one in shut: field j
+        takes out's part of field j-1, by one shift, AND and OR, and field
+        0 all of out.  Field epsilon is then the vertices shut out of more
+        than epsilon finished balls, and the first ball that makes it
+        nonempty cuts at once.
         """
-        balls, moore, mult, shut = self.balls[:], self.moore, self.mult_mode, None
-        n, everyone = self.n, self.everyone
+        balls, moore, mult, shut = self.balls[:], self.moore, self.mult_mode, self.shut
+        n, everyone, levels, top = self.n, self.everyone, self.levels, self.top
         for t, layer in enumerate(found):
             new = news >> t * n & everyone
             while layer:
@@ -342,17 +354,11 @@ class _Engine:
                 ball = balls[s] | new
                 balls[s] = ball
                 if mult and ball.bit_count() == moore:
-                    if shut is None:
-                        shut = self.shut[:]
-                    out = self.everyone ^ ball
-                    while out:
-                        b = out & -out
-                        out ^= b
-                        u = b.bit_length() - 1
-                        shut[u] += 1
-                        if shut[u] > self.params.epsilon:
-                            return None
-        return balls, self.shut if shut is None else shut
+                    out = everyone ^ ball
+                    shut |= (shut << n | out) & out * levels
+                    if shut >> top:
+                        return None
+        return balls, shut
 
     # ---- generation ----
 

@@ -148,6 +148,34 @@ class TestRead:
             read_digraph(text)
         assert str(exc.value) == message
 
+    # int() refuses over 4,300 digits, and no message repeats more than
+    # the first 40 characters of what it quotes
+    LONG = "9" * 5000
+    CUT = "9" * 40 + "... (5000 characters)"
+
+    @pytest.mark.parametrize("text, message", [
+        (f"n {LONG}\n", f"line 1: order {CUT} exceeds the limit of {MAX_ORDER}"),
+        (f"n -{LONG}\n", f"line 1: order must be non-negative, got -{'9' * 39}... (5001 characters)"),
+        (f"n 3\n{LONG}: 0\n", f"line 2: vertex {CUT} out of range 0..2"),
+        (f"n 3\n0: 1 {LONG}\n", f"line 2: vertex 0 has out-neighbour {CUT} out of range 0..2"),
+        (f"n 5 {'x' * 5000}\n",
+         f"line 1: expected header 'n <order>', got {'n 5 ' + 'x' * 36!r}... (5004 characters)"),
+        (f"n 3\n{'x' * 5000}\n",
+         f"line 2: expected '<vertex>: <out-list>', got {'x' * 40!r}... (5000 characters)"),
+        (f"n {'x' * 5000}\n", f"line 1: order is not an integer: {'x' * 40!r}... (5000 characters)"),
+        (f"n 3\n{'x' * 5000}: 0\n",
+         f"line 2: vertex index is not an integer: {'x' * 40!r}... (5000 characters)"),
+    ], ids=["long-order", "long-negative-order", "long-vertex", "long-target", "long-header",
+            "long-body-line", "long-non-integer-order", "long-non-integer-vertex"])
+    def test_long_input_is_cut_short(self, text, message):
+        with pytest.raises(DigraphFormatError) as exc:
+            read_digraph(text)
+        assert str(exc.value) == message
+
+    def test_leading_zeros_past_the_digit_limit(self):
+        zeros = "0" * 5000
+        assert read_digraph(f"n {zeros}3\n{zeros}1: {zeros}2\n") == Digraph(3, [(), (2,), ()])
+
     def test_bad_header_order(self):
         with pytest.raises(DigraphFormatError, match="line 1"):
             read_digraph("n x\n")

@@ -186,6 +186,13 @@ class TestCanon:
         p.write_text(text)
         assert invoke("canon", str(p)) == (2, "", f"error: {p}: {message}\n")
 
+    def test_long_number_is_one_short_line(self, tmp_path):
+        # an order of 5,000 digits, past what int() reads, is out of range
+        p = tmp_path / "long.dg"
+        p.write_text("n " + "9" * 5000 + "\n")
+        message = f"line 1: order {'9' * 40}... (5000 characters) exceeds the limit of {MAX_ORDER}"
+        assert invoke("canon", str(p)) == (2, "", f"error: {p}: {message}\n")
+
     def test_walk_deeper_than_the_recursion_limit(self, tmp_path):
         # the edgeless digraph of order 1,100 has one cell that the walk
         # individualises 1,099 times in a row, one recursion each

@@ -65,6 +65,18 @@ def _fields(x, n, k):
     return [x >> t * n & (1 << n) - 1 for t in range(k)]
 
 
+def _counts(shut, n, epsilon):
+    """The per-vertex counts that a packed shut holds: u's is the number of its fields 0..epsilon holding u.
+
+    Field j holds the vertices counted more than j times, so the fields
+    must be nested, each inside the one below it.
+    """
+    fields = _fields(shut, n, epsilon + 1)
+    assert shut >> (epsilon + 1) * n == 0
+    assert all(above & ~below == 0 for below, above in zip(fields, fields[1:]))
+    return [sum(field >> u & 1 for field in fields) for u in range(n)]
+
+
 def _oracle_cuts(partial, params, pruning):
     return partial_cut_oracle(partial, params.d, params.k, params.epsilon, params.diregular,
                               pruning == "full")
@@ -463,7 +475,7 @@ class TestRowMemo:
 
 def _state(engine):
     """Everything a walk changes and must put back: balls, shut, the masks, max_used, in_full."""
-    return (list(engine.balls), list(engine.shut), list(engine.out_mask), list(engine.in_mask),
+    return (list(engine.balls), engine.shut, list(engine.out_mask), list(engine.in_mask),
             engine.max_used, engine.in_full)
 
 
@@ -788,7 +800,8 @@ class _AuditedEngine(_Engine):
     returned must be the k-balls, and after a filled row the stored balls
     alone.  After every kept arc, and whenever a frame opens, shut must
     hold for each vertex the number of full k-balls that miss it, by a
-    full rescan, in full diregular mode, and zeros otherwise.
+    full rescan, in full diregular mode, and zeros otherwise: decoded
+    from its nested fields, with field epsilon empty.
     Inside _dfs each frame also lists its candidates when _next_open finds
     its vertex, one by one from the rows: the targets past v's last one up
     to one past the highest vertex in use, without v and, in diregular
@@ -829,7 +842,9 @@ class _AuditedEngine(_Engine):
 
     def _check_shut(self):
         counts = outlier_counts(self._fresh_balls(), self.n, self.moore)
-        assert self.shut == (counts if self.mult_mode else [0] * self.n)
+        # field epsilon, the vertices counted more than epsilon times, is empty on a kept state
+        assert self.shut >> self.params.epsilon * self.n == 0
+        assert _counts(self.shut, self.n, self.params.epsilon) == (counts if self.mult_mode else [0] * self.n)
 
     def _check_in_full(self):
         full = sum(1 << w for w in range(self.n) if self.in_mask[w].bit_count() >= self.d)
@@ -1115,6 +1130,52 @@ class TestIncrementalCheck:
             ahead = engine._check(v, w, frame)
             if ahead:
                 assert _fields(ahead, n, k + 1) == [ball(w, k - 1 - t) for t in range(k)] + [0]
+
+    @given(geodetic_partials(cases=PARTIAL_CASES + ((2, 2, 4, True), (2, 2, 5, True))),
+           st.sampled_from(["basic", "full"]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_packed_counts_match_a_list_of_counts(self, case, pruning, data):
+        # random arcs that _check keeps, out of the lowest open vertex as
+        # the walk fills rows, each committed by _grow as enter() commits
+        # it, against plain per-vertex counts grown ball by ball: _grow
+        # cuts exactly when some count passes epsilon, and otherwise its
+        # shut decodes to the counts, which stay zero unless the cut is on.
+        # epsilon 4 and 5 on (2,2) are where fills cut most often
+        params, partial = case
+        engine = _Engine(params, pruning, partial, budget=None)
+        assume(engine.enter())
+        n, eps = engine.n, params.epsilon
+        for _ in range(2 * n):
+            counts = outlier_counts(engine.balls, n, engine.moore) if engine.mult_mode else [0] * n
+            assert _counts(engine.shut, n, eps) == counts
+            open_ = [v for v in range(n) if engine.out_mask[v].bit_count() < params.d]
+            if not open_:
+                break
+            v = open_[0]
+            found = layers(engine.in_mask, v, params.k - 1)
+            frame = engine._frame(v)
+            kept = [w for w in range(engine.out_mask[v].bit_length(), n)
+                    if w != v and not (engine.in_full | frame[2]) >> w & 1 and engine._check(v, w, frame)]
+            if not kept:
+                break
+            w = data.draw(st.sampled_from(kept))
+            ahead = engine._check(v, w, frame)
+            balls, cut = list(engine.balls), False
+            for t, layer in enumerate(found):
+                for s in _members(layer, n):
+                    balls[s] |= ahead >> t * n & (1 << n) - 1
+                    if engine.mult_mode and balls[s].bit_count() == engine.moore and not cut:
+                        for u in range(n):
+                            counts[u] += not balls[s] >> u & 1
+                        cut = max(counts) > eps
+            grown = engine._grow(found, ahead)
+            assert (grown is None) == cut
+            if cut:
+                continue
+            assert grown[0] == balls
+            assert _counts(grown[1], n, eps) == counts
+            assert engine._land(v, w, ahead, frame)
+            engine.balls, engine.shut = grown
 
     def test_whole_search_audited(self):
         engine = _AuditedEngine(P222, "full", seed_tree(P222), budget=None)
