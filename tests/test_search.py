@@ -1152,8 +1152,8 @@ class TestIncrementalCheck:
             if not open_:
                 break
             v = open_[0]
-            found = layers(engine.in_mask, v, params.k - 1)
             frame = engine._frame(v)
+            found = frame[0]
             kept = [w for w in range(engine.out_mask[v].bit_length(), n)
                     if w != v and not (engine.in_full | frame[2]) >> w & 1 and engine._check(v, w, frame)]
             if not kept:
@@ -1164,7 +1164,7 @@ class TestIncrementalCheck:
             for t, layer in enumerate(found):
                 for s in _members(layer, n):
                     balls[s] |= ahead >> t * n & (1 << n) - 1
-                    if engine.mult_mode and balls[s].bit_count() == engine.moore and not cut:
+                    if engine.mult_mode and not cut and balls[s].bit_count() == engine.moore:
                         for u in range(n):
                             counts[u] += not balls[s] >> u & 1
                         cut = max(counts) > eps
