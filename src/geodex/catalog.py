@@ -77,10 +77,7 @@ def write_digraph(g: Digraph) -> str:
     """
     lines = [f"n {g.n}"]
     for v, targets in enumerate(g.out):
-        if targets:
-            lines.append(f"{v}: " + " ".join(str(w) for w in targets))
-        else:
-            lines.append(f"{v}:")
+        lines.append(f"{v}:" + "".join([f" {w}" for w in targets]))
     return "\n".join(lines) + "\n"
 
 

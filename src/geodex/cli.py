@@ -181,26 +181,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify and exhaustively search k-geodetic digraphs near the Moore bound",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the file argument of verify, canon and census, and the requirement flags of
+    # verify and search; verify takes its path first, so usage errors name it first
+    one_file = argparse.ArgumentParser(add_help=False)
+    one_file.add_argument("path")
+    requirements = argparse.ArgumentParser(add_help=False)
+    requirements.add_argument("--d", type=int, required=True)
+    requirements.add_argument("--k", type=int, required=True)
+    requirements.add_argument("--excess", type=int, required=True)
+    requirements.add_argument("--diregular", action="store_true")
 
     p = sub.add_parser("moore", help="print the Moore bound for out-degree d and depth k")
     p.add_argument("d", type=int)
     p.add_argument("k", type=int)
     p.set_defaults(func=_cmd_moore)
 
-    p = sub.add_parser("verify", help="check a digraph file against (d, k, excess)")
-    p.add_argument("path")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--excess", type=int, required=True)
-    p.add_argument("--diregular", action="store_true")
+    p = sub.add_parser("verify", help="check a digraph file against (d, k, excess)", parents=[one_file, requirements])
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("catalog", help="print a catalog digraph in file format")
     p.add_argument("id", choices=["A", "B"])
     p.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser("canon", help="print the canonical form of a digraph file as hex")
-    p.add_argument("path")
+    p = sub.add_parser("canon", help="print the canonical form of a digraph file as hex", parents=[one_file])
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("iso", help="decide whether two digraph files are isomorphic")
@@ -208,16 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path_b")
     p.set_defaults(func=_cmd_iso)
 
-    p = sub.add_parser("census", help="triangle census and pair classification")
-    p.add_argument("path")
+    p = sub.add_parser("census", help="triangle census and pair classification", parents=[one_file])
     p.add_argument("--emit", help="also write a JSON dump to this path")
     p.set_defaults(func=_cmd_census)
 
-    p = sub.add_parser("search", help="exhaustive isomorph-free search")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--excess", type=int, required=True)
-    p.add_argument("--diregular", action="store_true")
+    p = sub.add_parser("search", help="exhaustive isomorph-free search", parents=[requirements])
     p.add_argument("--limit", type=int, help="stop after this many results")
     p.add_argument("--budget", type=int, help="node budget, counted in task order; a run it stops is incomplete")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")

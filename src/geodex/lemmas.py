@@ -91,9 +91,7 @@ def check_lemma_identical_neighbourhoods(g: Digraph, k: int) -> LemmaCheck:
     outliers of each other, u and v must be outliers of each other, and
     their outlier sets must agree outside {u, v}.
     """
-    if k < 2:
-        return LemmaCheck(applicable=False, holds=None, reason=f"requires k >= 2, got {k}")
-    reason = _not_excess_2(g, k)
+    reason = f"requires k >= 2, got {k}" if k < 2 else _not_excess_2(g, k)
     if reason:
         return LemmaCheck(applicable=False, holds=None, reason=reason)
     outliers = [set(outlier_set(g, u, k)) for u in range(g.n)]
@@ -102,14 +100,9 @@ def check_lemma_identical_neighbourhoods(g: Digraph, k: int) -> LemmaCheck:
     violations = []
     for u, v in pairs:
         a, b = g.out[u]
-        if a not in outliers[b]:
-            violations.append(f"pair ({u},{v}): {a} not an outlier of {b}")
-        if b not in outliers[a]:
-            violations.append(f"pair ({u},{v}): {b} not an outlier of {a}")
-        if v not in outliers[u]:
-            violations.append(f"pair ({u},{v}): {v} not an outlier of {u}")
-        if u not in outliers[v]:
-            violations.append(f"pair ({u},{v}): {u} not an outlier of {v}")
+        for x, y in ((a, b), (b, a), (v, u), (u, v)):
+            if x not in outliers[y]:
+                violations.append(f"pair ({u},{v}): {x} not an outlier of {y}")
         if outliers[u] - {v} != outliers[v] - {u}:
             violations.append(f"pair ({u},{v}): outlier sets differ outside the pair")
     return LemmaCheck(
@@ -128,13 +121,8 @@ def check_lemma_pair_exists(g: Digraph) -> LemmaCheck:
     and a parity count forces at least one single-overlap pair.
     """
     k = _infer_k_for_excess_2(g)
-    if k is None:
-        return LemmaCheck(
-            applicable=False,
-            holds=None,
-            reason=f"order {g.n} is not moore_bound(2, k) + 2 for any k >= 2",
-        )
-    reason = _not_excess_2(g, k)
+    reason = (f"order {g.n} is not moore_bound(2, k) + 2 for any k >= 2" if k is None
+              else _not_excess_2(g, k))
     if reason:
         return LemmaCheck(applicable=False, holds=None, reason=reason)
     found = common_out_pairs(g, 1)

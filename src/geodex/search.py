@@ -10,52 +10,16 @@ with out-degree exactly d has a relabeling that the grammar produces, so
 nothing is lost; duplicates that survive are removed by canonical form,
 and each class is verified once per search process.
 
-Pruning is incremental.  The engine stores every vertex's k-ball.  After
-an arc v -> w lands, only sources that reach v within k-1 steps gain
-walks, and the new ones all run through the arc: a source t steps from
-v gains w's ball of radius k-1-t, which must not meet its stored ball.
-No arc out of v moves v's backward layers, so a DFS frame scans them
-once and ORs each layer's stored balls into one set per layer, and their
-union U.  The k per-layer sets are packed into one int, layer t's set in
-the n-bit field at bit t*n, and so are the sets an arc adds.  The frame
-also builds its candidate targets once, as one bitmask.  A candidate w
-in U would give some source a second walk of length at most k to w, or a
-closed one, so it is barred: the frame counts the barred candidates in
-bulk, by popcount, and never tests them; a frame with no other candidate
-is not even pushed.  A live candidate, one outside U, is tested before
-its arc lands, since its balls of radius at most k-1 are the same with
-the arc as without it: one forward scan of w's balls, packed the same
-way, and one AND against the layers' packed sets, or nothing at all when
-w has no out-arc yet.  A cut arc never touches the state, whichever cut
-it meets (see the multiplicity cut below).  A kept arc that leaves v's
-row open leads to a frame for v whose candidates are known at once: the
-frame's remaining ones above w, and one more when w is a newcomer, and
-the live ones among them are those outside w's ball of radius k-1.  When
-none is live, the child is counted in its parent by one popcount and the
-arc is never landed, except while the walk splits, so that no task is
-dropped.
-The stored balls change once per filled row, not once per arc: every
-source of one layer gains the same set, so while v's row is open a kept
-arc only adds that set to the layer's set and to its pending set, in the
-next frame for v, which is derived from its parent with no backward
-scan: one OR per packed int.  The arc that fills the row commits the
-pending sets to a copy of the balls, so a frame puts back the balls it
-opened with by reference.
-Every arc is tested by one method and added by another: a task's start
-partial enters through them, one arc at a time from the empty digraph,
-and so does each DFS node, so every state is checked by the same code.
-Both bar a target in U or in in_full before the test, so the test only
-sees live targets.  The frames sit on an explicit stack, so Python's
-recursion limit does not bound the depth of a search.  Full pruning in
-diregular mode adds one more cut when a row fills: a ball that the fill
-makes full is finished, and a vertex shut out of more than epsilon
-finished k-balls cuts.  The counts are one int in unary, the vertices
-counted more than j times in the n-bit field at bit j*n, so a finished
-ball counts its outliers by one shift, AND and OR, and the cut reads
-field epsilon.  It is decided on a copy of the balls and on the counts
-before the arc lands, and only a kept fill installs them, so
-backtracking is the one place where an arc is taken back.  All cuts are
-sound: they only fire on partials no valid completion can extend.
+Pruning is incremental, and every cut is sound: it only fires on partials
+no valid completion can extend.  _Engine keeps the partial as bitsets and
+every vertex's stored k-ball.  Its walk, _dfs, opens one frame per open
+row: _frame gathers what an arc out of the row's vertex is tested
+against, _check tests an arc before it lands, _land is the only code that
+adds one, and _grow commits a filled row to the stored balls and applies
+the multiplicity cut of full diregular mode.  A task's start partial
+enters through the same _check and _land (enter), so every state is
+checked by the same code.  search() splits the walk into tasks, runs them
+in a pool and merges their classes, and Checkpoint lets it resume.
 """
 
 from __future__ import annotations
@@ -69,7 +33,7 @@ from itertools import repeat
 from typing import TextIO
 
 from .canon import CanonicalForm, canonical_form
-from .catalog import MAX_ORDER, read_digraph, write_digraph
+from .catalog import MAX_ORDER, _shown, read_digraph, write_digraph
 from .core import Digraph, SearchParams, _members, _order_text, moore_bound, verify
 from .reach import geodetic_balls, layers
 
@@ -142,33 +106,20 @@ class _Engine:
     next target is at least the mask's bit_length().  max_used is the
     highest vertex in use.  In diregular mode in_full has bit w once w's
     in-degree reaches d, so w is offered no more arcs; in out-regular mode,
-    where in-degrees are free, it stays empty.  balls[s] holds
-    the k-ball of s as of the last filled row: the arcs out of a vertex
-    whose row is still open live in its frame's pending sets instead (see
-    _frame).  shut counts, for each vertex u, the finished balls that
-    miss u, in unary: u is in field j, bits j*n to j*n+n-1, when its
-    count is above j, for j <= epsilon, so the fields are nested and
-    field epsilon is empty on every kept state.  It stays 0 unless the
-    multiplicity cut is on.  The sets kept per backward
-    layer t < k are packed, all k in one int with layer t's in the n-bit
-    field at bit t*n, so one int op does for k list items.
-    _check tests an arc against
-    the frame of its tail and changes nothing; _land is the only code
-    that adds an arc, one that _check kept, and it decides a row fill on
-    copies before it changes anything, so neither cut touches the
-    state.  _check tests a live arc only: enter() and _dfs bar a target
-    in in_full or in the frame's union U first.  The cost per fresh
-    frame is one backward scan and one candidate mask, per same-vertex
-    frame a few ORs on its parent's frame; per barred candidate (one in
-    the frame's union U) a count and no more; per live candidate with no
-    out-arc a test and no scan, per other live candidate one forward scan
-    and one AND; per kept arc whose child would have no live candidate one
-    AND and a count; and per filled row one pass over the sources plus
-    one shift, AND and OR per finished ball.  A filled row installs a
-    grown copy of balls and a new shut, never changing what a frame saw,
-    so _dfs takes each landed arc back, in one place, by clearing its two
-    mask bits and putting back the frame's balls, shut, max_used and
-    in_full, without copying.
+    where in-degrees are free, it stays empty.  balls[s] holds the k-ball
+    of s as of the last filled row; the arcs out of a vertex whose row is
+    still open live in its frame's pending sets (see _frame).  shut holds
+    the multiplicity counts (see _grow) and stays 0 unless that cut is on.
+    The sets kept per backward layer t < k are packed, all k in one int
+    with layer t's in the n-bit field at bit t*n, so one int op does for k
+    list items.
+
+    The cost per fresh frame is one backward scan and one candidate mask,
+    per derived frame a few ORs; per barred candidate a count and no more;
+    per live candidate one AND, after one forward scan unless it has no
+    out-arc; per kept arc whose child would have no live candidate one AND
+    and a count; and per filled row one pass over the sources plus one
+    shift, AND and OR per finished ball.
     """
 
     def __init__(self, params: SearchParams, pruning: str, start: Digraph,
@@ -215,20 +166,16 @@ class _Engine:
     def enter(self) -> bool:
         """Land the start partial's arcs row by row; False means cut.
 
-        Each arc is tested by _check and added by _land, as at every DFS
-        node, with a frame built for it alone, and its new ends are
-        committed to the stored balls at once, even mid-row, since a
-        task's start may end with a row open and the DFS then builds its
-        first frame from the balls.  Mid-row this installs what _grow
-        returns, which finishes no ball and so cannot cut: every source
-        it grows lies within k-1 steps of v, whose row is open.  An arc
-        into a vertex of in_full, one of in-degree d in diregular mode, or
-        into the frame's union U is refused before _check, as the DFS's
-        candidate mask filters both.
-        Stopping at the first cut gives the verdict of the whole partial:
-        arcs only ever break geodecity and raise in-degrees, and a ball
-        reaches full size only on an arc that fills a row, which is when
-        the multiplicity cut runs.
+        Each arc is barred, tested and added as at a DFS node, against a
+        frame built for it alone, and its new ends are committed to the stored
+        balls at once, even mid-row, since a task's start may end with a
+        row open and the DFS then builds its first frame from the balls.
+        Mid-row this installs what _grow returns, which finishes no ball
+        and so cannot cut: every source it grows lies within k-1 steps of
+        v, whose row is open.  Stopping at the first cut gives the verdict
+        of the whole partial: arcs only ever break geodecity and raise
+        in-degrees, and a ball reaches full size only on an arc that fills
+        a row, which is when the multiplicity cut runs.
         """
         for v, w in self.start.arcs():
             frame = self._frame(v)
@@ -245,18 +192,17 @@ class _Engine:
         """The data every arc out of v is checked against, from the stored balls.
 
         Returns v's backward layers L_t for t < k, the union U_t of the
-        stored balls of each layer's sources, their union U, and each
-        layer's pending set P_t, which is empty here.  The U_t are packed
-        into one int, U_t in the n-bit field at bit t*n, and so are the
-        P_t; a field past the last layer is empty.  Landing an arc out of
-        v leaves the layers alone, since v is their depth 0, and each
-        source of L_t gains the same set, w's ball of radius k-1-t.  So
-        while v's row stays open the child frame is derived, not scanned:
-        _dfs ORs the packed sets _check returned into the packed U_t and
-        P_t, in the fields of v's layers, and field 0 into U.  P_t holds
-        what the sources of L_t have gained since the stored balls were
-        brought up to date.  Their k-balls are then balls[s] | P_t, and
-        the arc that fills the row commits P_t to them.
+        stored balls of each layer's sources, packed, their union U, and
+        the packed pending sets P_t, empty here; a field past the last
+        layer is empty.  No arc out of v moves the layers, since v is
+        their depth 0, and each source of L_t gains the same set from
+        one, w's ball of radius k-1-t.  So while v's row stays open the
+        next frame for v is derived from this one, not scanned: _dfs ORs
+        what _check returned, cut to the layers' fields, into U_t and
+        P_t, and its field 0, the largest, into U.
+        P_t holds what the sources of L_t have gained since the stored
+        balls were brought up to date: their k-balls are balls[s] | P_t,
+        and the arc that fills the row commits P_t to them.
         """
         balls, n = self.balls, self.n
         found = layers(self.in_mask, v, self.k - 1)
@@ -276,25 +222,19 @@ class _Engine:
 
         Returns 0 when the arc would be cut, else w's balls of radius
         k-1, k-2, ..., 0, the sets that the sources of v's layers L_0,
-        L_1, ... would gain, packed as the frame's U_t are: the ball of
-        radius k-1-t in field t.  It is never 0, since field 0 holds w.
-        frame is v's frame for the current state,
-        which this leaves as it is.  w must lie outside the frame's union
-        U: an arc to a w in U would give some source a second walk to w,
-        and every caller bars it first.  The partial is k-geodetic, so a
-        source s at backward distance t from v reaches v by one walk, and
-        its new walks follow that walk and the arc, then at most k-1-t
-        steps from w.  Their ends must miss the k-ball of s, which holds
-        s itself, so closed walks count.  A set meets some source's ball
-        of layer t exactly when it meets their union U_t, so one AND of
-        the packed balls and the packed U_t tests every layer.  Since every
-        stored ball holds its source, w is no source of v's layers, so no
-        walk of length at most k-1 from w reaches v: w's balls are the
-        same with the arc as without it, and the partial has no two walks
-        from w that meet.  A w with no out-arc has ball {w} at every
-        radius, and w is in no U_t, so it is kept with no scan: w in
-        every field.  Any other w costs one scan of its balls, which
-        packs them, and one AND.
+        L_1, ... would gain, packed as the frame's U_t are.  It is never
+        0, since field 0 holds w.  w must lie outside the frame's union
+        U (see _dfs).  The partial is k-geodetic, so a source s at
+        backward distance t from v reaches v by one walk, and its new
+        walks follow that walk and the arc, then at most k-1-t steps from
+        w.  Their ends must miss the k-ball of s, which holds s itself,
+        so closed walks count.  A set meets some source's ball of layer t
+        exactly when it meets their union U_t, so one AND tests every
+        layer.  Since every stored ball holds its source, w is no source
+        of v's layers, so no walk of length at most k-1 from w reaches v:
+        w's balls are the same with the arc as without it, which is why
+        the test can come before the arc lands.  A w with no out-arc has
+        ball {w} at every radius and needs no scan.
         """
         if not self.out_mask[w]:
             return (1 << w) * self.spread
@@ -307,10 +247,9 @@ class _Engine:
         The only code that sets a mask bit or adds to in_full.  An arc
         that leaves v's row open touches no stored ball and cannot cut:
         the caller carries ahead in the frame's pending sets.  The arc
-        that fills the row first has _grow commit each layer's pending
-        set and its own, the packed P_t ORed with ahead, to a copy of
-        balls and to shut, which may cut; only
-        a kept fill installs them and lands, so a cut changes nothing.
+        that fills the row has _grow commit the pending sets and its own
+        to a copy of balls and shut, which may cut; only a kept fill
+        installs them and lands, so a cut changes nothing.
         """
         out_mask, in_mask = self.out_mask, self.in_mask
         if out_mask[v].bit_count() == self.d - 1:
@@ -331,17 +270,18 @@ class _Engine:
     def _grow(self, found: list[int], news: int) -> tuple[list[int], int] | None:
         """The stored balls with field t of news ORed into each source of found[t], and shut.
 
-        news packs one n-bit set per layer, layer t's at bit t*n; fields
-        past the last layer are not read.  Returns a new (balls, shut)
-        pair, or None for a cut, and changes
+        Returns a new (balls, shut) pair, or None for a cut, and changes
         nothing.  Without duplicate walks a ball is full exactly when
         every vertex within k-1 steps of its source has its whole
-        out-list, so it is then finished.  In full diregular mode each of
-        its epsilon outliers, the set out, gains one in shut: field j
-        takes out's part of field j-1, by one shift, AND and OR, and field
-        0 all of out.  Field epsilon is then the vertices shut out of more
-        than epsilon finished balls, and the first ball that makes it
-        nonempty cuts at once.
+        out-list, so it is then finished.  shut counts, for each vertex,
+        the finished balls that miss it, in unary: u is in field j, bits
+        j*n to j*n+n-1, when its count is above j, for j <= epsilon, so
+        the fields are nested.  In full diregular mode each of a finished
+        ball's epsilon outliers, the set out, gains one: field j takes
+        out's part of field j-1, by one shift, AND and OR, and field 0 all
+        of out.  Field epsilon holds the vertices shut out of more than
+        epsilon finished balls, so the first ball that makes it nonempty
+        cuts, and it is empty on every kept state.
         """
         balls, moore, mult, shut = self.balls[:], self.moore, self.mult_mode, self.shut
         n, everyone, levels, top = self.n, self.everyone, self.levels, self.top
@@ -392,51 +332,43 @@ class _Engine:
     def _dfs(self) -> None:
         """Walk the subtree of the current state depth first, on an explicit stack.
 
-        A frame is [v, w, live, barred, saved, frame, last]: the open
-        vertex v, the candidate w whose arc is landed while its child is
-        walked, the live and barred candidates not yet passed, the balls,
-        shut, max_used and in_full it opened with, v's frame, and the
-        bound below which an arc's child may be counted in this frame.
-        Its w is -1 until it lands its first arc and is set at every
-        landing after that, so whenever the walk comes back to a frame
-        with w >= 0, that arc is landed and is taken back first.  The
-        next open vertex is looked up from the vertex of the frame that
-        just landed an arc, since every row below it is full.
+        The stack, not Python's recursion limit, bounds the depth.  A
+        frame is [v, w, live, barred, saved, frame, last]: the open vertex
+        v, the candidate w whose arc is landed while its child is walked
+        (-1 before the first), the live and barred candidates not yet
+        passed, the balls, shut, max_used and in_full it opened with, v's
+        frame, and the bound below which an arc's child may be counted in
+        this frame.  Every row below v is full, so the next open vertex is
+        looked up from v.
         The candidates are the targets from v's next slot up to one past
-        the highest vertex in use, without v and without the vertices in
-        in_full, which is empty in out-regular mode; none of this moves
-        while the frame is open, so one bitmask per frame holds them.
-        Those in the frame's union U are barred, since an arc to one
-        would give some source a second walk to it, and the rest are
-        live; _check is called on live ones only.  A frame for the
+        the highest vertex in use, without v and in_full; none of this
+        moves while the frame is open, so one bitmask holds them.  Those
+        in the frame's union U are barred, since an arc to one would give
+        some source a second walk of length at most k to it, or a closed
+        one; they are counted by popcount and never tested.  The rest are
+        live and go to _check in increasing order.  The frame for the
         vertex whose row its parent left open is derived from the
-        parent's frame and the packed sets _check returned: the packed
-        U_t and P_t each gain them by one OR, cut to the fields of v's
-        layers, and U gains field 0, the largest.  Any other
-        frame is built by _frame from the stored balls, which the last
-        filled row brought up to date.
-        A frame with no live candidate is counted by one popcount
-        and never pushed.  Live candidates are tested by _check in
-        increasing order; the barred ones below each, and those left when
-        the frame ends, are counted by one popcount.  A kept arc that
-        leaves v's row open is not landed when its child would have no
-        live candidate.  The child's candidates would be this frame's
-        live and barred ones above w, and w + 1 as well when w is the
-        newcomer, one past the highest vertex in use; of these, w + 1,
-        which no ball holds, and the live ones outside w's ball of radius
-        k-1 would be live.  So for a w below last the child is counted
-        here by one popcount when no live one above w lies outside that
-        ball.  last is the newcomer when it brings a w + 1 and n
-        otherwise, and 0 when an arc fills the row or the walk splits, so
-        that no task is dropped.  Every candidate is a node, barred, cut
-        or landed, and so is every candidate of a child counted in its
-        parent.  A cut arc, by _check or by _land, leaves the state as it
-        was, so the only arc a frame takes back is the one it landed: it
-        clears its two mask bits and puts back what it saved, and a walk
-        that ends leaves the state as it found it.  The budget is tested once per landed
-        arc, at the top of the loop: once the nodes pass it the walk
-        returns there, with its arcs still landed, and run_task reports
-        it stopped.
+        parent's (see _frame); any other is built by _frame from the
+        stored balls.  A frame with no live candidate is counted and
+        never pushed.
+        A kept arc that leaves v's row open is not landed when its child
+        would have no live candidate.  The child's candidates would be
+        this frame's live and barred ones above w, and w + 1 as well when
+        w is the newcomer; of these, w + 1, which no ball holds, and the
+        live ones outside w's ball of radius k-1 would be live.  So for a
+        w below last the child is counted here by one popcount when no
+        live one above w lies outside that ball.  last is the newcomer
+        when it brings a w + 1 and n otherwise, and 0 when an arc fills
+        the row or the walk splits, so that no task is dropped.  Every
+        candidate is a node, barred, cut or landed, and so is every
+        candidate of a child counted in its parent.
+        A cut changes nothing, and a filled row installs new balls and
+        shut rather than changing the old ones, so the only arc a frame
+        takes back is the one it landed, in this one place: it clears its
+        two mask bits and puts back what it saved, without copying.  The
+        budget is tested once per landed arc: once the nodes pass it the
+        walk returns with its arcs still landed, and run_task reports it
+        stopped.
         """
         n, d, budget, everyone = self.n, self.d, self.budget, self.everyone
         out_mask, in_mask = self.out_mask, self.in_mask
@@ -461,14 +393,12 @@ class _Engine:
                 if stack and stack[-1][0] == v:
                     found, unions, union, pending = stack[-1][5]
                     union |= ahead & everyone
-                    live = cands & ~union
-                    if live:
-                        ahead &= self.spans[len(found)]
-                        frame = found, unions | ahead, union, pending | ahead
+                    ahead &= self.spans[len(found)]
+                    frame = found, unions | ahead, union, pending | ahead
                 else:
                     frame = self._frame(v)
                     union = frame[2]
-                    live = cands & ~union
+                live = cands & ~union
                 if live:
                     last = 0
                     if counting and out_mask[v].bit_count() < d - 1:
@@ -601,10 +531,10 @@ class Checkpoint:
             raise self._bad("not a checkpoint file")
         if saved["key"] != self.key:
             raise self._bad("written by another format version, search or task list")
-        restored = {}
+        restored, index = {}, {str(i): i for i in range(self.total)}
         for name, record in saved["done"].items():
-            if not (name.isdecimal() and name == str(int(name)) and int(name) < self.total):
-                raise self._bad(f"task index {name!r} is not in 0..{self.total - 1}")
+            if name not in index:
+                raise self._bad(f"task index {_shown(name, repr)} is not in 0..{self.total - 1}")
             if not (isinstance(record, dict) and set(record) == {"nodes", "results"}
                     and type(record["nodes"]) is int and record["nodes"] >= 0
                     and isinstance(record["results"], dict)
@@ -620,7 +550,7 @@ class Checkpoint:
                     raise self._bad(f"task {name}: result {data.hex()} does not verify")
                 if canonical_form(g).data != data:
                     raise self._bad(f"task {name}: result {data.hex()} is not its digraph's canonical form")
-            restored[int(name)] = results, record["nodes"]
+            restored[index[name]] = results, record["nodes"]
         self.done = saved["done"]
         self.flush()
         print(f"resuming: {len(self.done)} tasks already finished", file=self.log)
@@ -674,14 +604,14 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
         raise ValueError(f"worker count must be at least 1, got {jobs}")
     tasks, stats = split_tasks(params, pruning)
     restored = checkpoint.restore(params, pruning, tasks) if checkpoint else {}
-    pending = [i for i in range(len(tasks)) if i not in restored]
+    todo = [task for i, task in enumerate(tasks) if i not in restored]
     merged: dict[bytes, Digraph] = dict(stats["results"])
     nodes = stats["nodes"]
     left = None if params.max_nodes is None else params.max_nodes - nodes
     complete = exhausted = False
     # more workers than pending tasks or the cores this process may use would only sit idle
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(jobs, len(pending), cores)
+    workers = min(jobs, len(todo), cores)
     pool = None
     if workers > 1:
         import concurrent.futures  # only a pooled search pays for the import
@@ -690,8 +620,7 @@ def search(params: SearchParams, jobs: int = 1, pruning: str = "full",
     try:
         # Every task gets the budget left after the split (below 0 it stops
         # at once); the acceptance check makes that agree with the budget left now.
-        outcomes = (pool.map if pool else map)(run_task, repeat(params),
-                                               [tasks[i] for i in pending],
+        outcomes = (pool.map if pool else map)(run_task, repeat(params), todo,
                                                repeat(pruning), repeat(left))
         for idx in range(len(tasks)):
             if params.max_results is not None and len(merged) >= params.max_results:

@@ -520,8 +520,12 @@ class TestMalformedCheckpoint:
         _injected(Digraph(1, [()]), b"\0"),
         _injected(catalog_a().digraph, canonical_form(catalog_b().digraph).data),
         _injected(_CIRCULANT, canonical_form(_CIRCULANT).data),
+        # int() refuses more than 4,300 digits; a key is looked up, never converted
+        _edited(lambda doc: doc["done"].update({"9" * 5000: {"nodes": 0, "results": {}}})),
+        _edited(lambda doc: doc["done"].update({"9" * 101: {"nodes": 0, "results": {}}})),
     ], ids=["json-list", "truncated", "record-without-nodes", "index-out-of-range",
-            "non-hex-form", "order-1-result", "class-under-wrong-form", "non-geodetic-result"])
+            "non-hex-form", "order-1-result", "class-under-wrong-form", "non-geodetic-result",
+            "index-of-5000-digits", "index-of-101-digits"])
     def test_exits_2_before_any_task_runs(self, tmp_path, damage):
         cp = tmp_path / "cp.json"
         assert invoke(*SEARCH_222, "--budget", "1500", "--checkpoint", str(cp))[0] == 1
@@ -530,7 +534,16 @@ class TestMalformedCheckpoint:
         code, out, err = invoke(*SEARCH_222, "--checkpoint", str(cp))
         assert code == 2 and out == ""
         assert err.startswith(f"error: checkpoint {cp}: ") and err.count("\n") == 1
+        assert len(err) < len(str(cp)) + 200  # a long key is cut short
         assert cp.read_text() == text
+
+    def test_a_long_task_index_is_shown_cut_short(self, tmp_path):
+        cp = tmp_path / "cp.json"
+        invoke(*SEARCH_222, "--budget", "1500", "--checkpoint", str(cp))
+        cp.write_text(_edited(lambda doc: doc["done"].update({"9" * 5000: {}}))(cp.read_text()))
+        code, _, err = invoke(*SEARCH_222, "--checkpoint", str(cp))
+        assert (code, err) == (2, f"error: checkpoint {cp}: task index '{'9' * 40}'... "
+                                  "(5000 characters) is not in 0..29\n")
 
 
 class TestWriteFailures:

@@ -164,6 +164,44 @@ class TestIdenticalNeighbourhoodLemma:
         r = check_lemma_identical_neighbourhoods(cat_b, 1)
         assert not r.applicable
 
+    # The lemma holds wherever the check applies, so these tests fake the
+    # outlier sets of catalog B's twin pairs (1,8), (2,4) and (5,7).
+    def test_every_violation_in_order(self, cat_b, monkeypatch):
+        import geodex.lemmas
+
+        monkeypatch.setattr(geodex.lemmas, "outlier_set", lambda g, u, k: (u,))
+        r = check_lemma_identical_neighbourhoods(cat_b, 2)
+        assert (r.applicable, r.holds, r.pairs) == (True, False, ((1, 8), (2, 4), (5, 7)))
+        assert r.violations == (
+            "pair (1,8): 3 not an outlier of 4",
+            "pair (1,8): 4 not an outlier of 3",
+            "pair (1,8): 8 not an outlier of 1",
+            "pair (1,8): 1 not an outlier of 8",
+            "pair (1,8): outlier sets differ outside the pair",
+            "pair (2,4): 5 not an outlier of 6",
+            "pair (2,4): 6 not an outlier of 5",
+            "pair (2,4): 4 not an outlier of 2",
+            "pair (2,4): 2 not an outlier of 4",
+            "pair (2,4): outlier sets differ outside the pair",
+            "pair (5,7): 0 not an outlier of 8",
+            "pair (5,7): 8 not an outlier of 0",
+            "pair (5,7): 7 not an outlier of 5",
+            "pair (5,7): 5 not an outlier of 7",
+            "pair (5,7): outlier sets differ outside the pair",
+        )
+
+    def test_outlier_sets_that_differ_outside_the_pair(self, cat_b, monkeypatch):
+        import geodex.lemmas
+
+        # every vertex is an outlier of every vertex, itself too, so each
+        # twin u, v keeps the other's name after removing its own twin
+        monkeypatch.setattr(geodex.lemmas, "outlier_set", lambda g, u, k: tuple(range(g.n)))
+        r = check_lemma_identical_neighbourhoods(cat_b, 2)
+        assert (r.applicable, r.holds) == (True, False)
+        assert r.violations == ("pair (1,8): outlier sets differ outside the pair",
+                                "pair (2,4): outlier sets differ outside the pair",
+                                "pair (5,7): outlier sets differ outside the pair")
+
 
 class TestPairExistsLemma:
     def test_catalog_a(self, cat_a):

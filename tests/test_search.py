@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import subprocess
 import sys
 from types import SimpleNamespace
 
@@ -236,6 +237,35 @@ class TestDeterminism:
             ]
             assert out.nodes_explored == base.nodes_explored
             assert out.complete == base.complete
+
+    # CI's Linux runners fork pool workers; macOS spawns them, and Python
+    # 3.14 starts them by forkserver on Linux, so the pickled tasks, results
+    # and module state must give the same outcome under both
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_under_other_start_methods(self, method):
+        script = (
+            "import concurrent.futures, json, multiprocessing, os\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}  # a pool even on one core\n"
+            "pools = []\n"
+            "class Recorded(concurrent.futures.ProcessPoolExecutor):\n"
+            "    def __init__(self, max_workers):\n"
+            "        pools.append(max_workers)\n"
+            "        super().__init__(max_workers)\n"
+            "concurrent.futures.ProcessPoolExecutor = Recorded\n"
+            "from geodex import SearchParams, search\n"
+            "out = search(SearchParams(d=2, k=2, epsilon=3, diregular=True), jobs=2)\n"
+            "print(json.dumps([pools, out.nodes_explored, out.complete,\n"
+            "                  [(r.form.hex(), r.digraph.out) for r in out.results]]))\n"
+        )
+        r = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", script],
+                           capture_output=True, text=True, timeout=120)
+        assert (r.returncode, r.stderr) == (0, "")
+        serial = search(SearchParams(d=2, k=2, epsilon=3, diregular=True))
+        assert (serial.nodes_explored, len(serial.results)) == (39559, 7)
+        assert json.loads(r.stdout) == [[2], serial.nodes_explored, True,
+                                        [[res.form.hex(), [list(row) for row in res.digraph.out]]
+                                         for res in serial.results]]
 
     # (2,2,+2) splits into 30 tasks; cores is the machine's CPU count and
     # usable the CPUs this process may run on, None where the platform
